@@ -154,7 +154,10 @@ def suite_rsk(
     for m in instances:
         result.cases += 1
         try:
-            transform = rsk.rsk_transform(m)
+            # one peel trace serves the transform, the per-peel oracle
+            # checks, injectivity of the first peel and the bitableau
+            trace = rsk.peel_trace(m)
+            transform = rsk.LadderSequence.from_trace(trace)
         except (InvariantViolation, ShapeViolation) as exc:
             result.failures.append(f"RSK({m}) failed: {exc} | {repro}")
             continue
@@ -163,15 +166,13 @@ def suite_rsk(
             wt_sum = wt_sum + lad
         if wt_sum.weight() != m.weight() or wt_sum.begin_weight() != m.begin_weight():
             result.failures.append(f"RSK({m}) does not conserve wt/b | {repro}")
-        if len(transform) != oracle.dilworth_width(m):
+        prev_width = oracle.dilworth_width(m)
+        if len(transform) != prev_width:
             result.failures.append(
-                f"width({m})={len(transform)} != Dilworth "
-                f"{oracle.dilworth_width(m)} | {repro}"
+                f"width({m})={len(transform)} != Dilworth {prev_width} | {repro}"
             )
         rest = m
-        prev_width = oracle.dilworth_width(m)
-        while rest:
-            ladder, new_rest = rsk.knuth_viennot(rest)
+        for ladder, new_rest in trace:
             if len(m) <= oracle.PERMISSIBLE_GUARD and not oracle.brute_permissible(
                 ladder, new_rest
             ):
@@ -186,7 +187,7 @@ def suite_rsk(
                     )
                 prev_width = w
             rest = new_rest
-        first_peel = rsk.knuth_viennot(m)
+        first_peel = trace[0]
         if first_peel in peel_images and peel_images[first_peel] != m:
             result.failures.append(
                 f"peeling collision: {peel_images[first_peel]} and {m} | {repro}"
@@ -194,7 +195,7 @@ def suite_rsk(
         peel_images[first_peel] = m
         # bitableau layer on the same instance
         try:
-            pq = rsk.bitableau_of(m)
+            pq = transform.bitableau()
         except (InvariantViolation, ShapeViolation) as exc:
             result.failures.append(f"bitableau of {m} failed: {exc} | {repro}")
             continue

@@ -2,7 +2,9 @@
 
 Subcommands: rsk, derive, specht, tableaux, check.  Exit codes: 0 success,
 1 malformed input text, 2 violated precondition, 3 failed check suite.
-Machine output via --json round-trips through the documented schemas.
+Machine output via --json round-trips through the documented schemas; under
+--json, exits 1 and 2 also print the envelope, with the message as its
+diagnostic.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _cmd_rsk(args: argparse.Namespace) -> int:
         if args.width:
             lines.append(f"width: {len(transform)}")
     if args.bitableau or (args.json and m):
-        pair = rsk.bitableau_of(m)
+        pair = transform.bitableau()
         report.payload["P"] = pair.p.to_json()
         report.payload["Q"] = pair.q.to_json()
         if args.bitableau:
@@ -216,8 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_der = sub.add_parser("derive", help="derivatives and descriptors")
     p_der.add_argument("multisegment", nargs="+", help="one or more multisegments")
-    p_der.add_argument("--bz", type=int, metavar="T", help="BZ derivative along (T..-T)")
-    p_der.add_argument("--single", type=int, metavar="J", help="single-index derivative")
+    one_derivative = p_der.add_mutually_exclusive_group()
+    one_derivative.add_argument(
+        "--bz", type=int, metavar="T", help="BZ derivative along (T..-T), T >= 0"
+    )
+    one_derivative.add_argument(
+        "--single", type=int, metavar="J", help="single-index derivative"
+    )
     p_der.add_argument("--phi", action="store_true", help="shift constant of the tuple")
     p_der.add_argument(
         "--gamma-descriptor", action="store_true", help="ladders and shift of the descriptor"
@@ -272,11 +279,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(args, "parse_error", f"parse error: {exc}", 1)
     except PreconditionError as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, "precondition_error", f"precondition error: {exc}", 2)
+
+
+def _fail(args: argparse.Namespace, status: str, message: str, code: int) -> int:
+    """Report an input error on stderr, and in the envelope under --json."""
+    print(message, file=sys.stderr)
+    if args.json:
+        _emit(CommandReport(status=status, diagnostics=[message]), [], True)
+    return code
 
 
 if __name__ == "__main__":

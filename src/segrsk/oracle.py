@@ -33,9 +33,13 @@ class EnumerationBounds:
 
     def __post_init__(self):
         if self.support_min > self.support_max:
-            raise ValueError("support_min exceeds support_max")
+            raise PreconditionError(
+                f"support minimum {self.support_min} exceeds maximum {self.support_max}"
+            )
         if self.max_segments < 0:
-            raise ValueError("max_segments must be non-negative")
+            raise PreconditionError(
+                f"segment cap must be non-negative, got {self.max_segments}"
+            )
 
     def segments(self) -> tuple[Segment, ...]:
         """All segments inside the support box, in lexicographic order."""

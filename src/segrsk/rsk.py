@@ -5,8 +5,9 @@ strictly increasing chain under the ll order starting there), enumerates each
 depth class with begins weakly increasing and ends weakly decreasing, recycles
 end points along the cycle permutation of each class, and splits off a ladder
 from the class-final occurrences.  Iterating until nothing remains yields the
-RSK transform; its length is the width, the minimal number of ladders summing
-to the input.
+peel trace, whose ladders are the RSK transform; its length is the width, the
+minimal number of ladders summing to the input.  Callers that need several
+views of one input (ladders, peels, bitableau) share one trace.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation, PreconditionError, ShapeViolation
 from .multisegment import Multisegment, Segment
-from .tableaux import BitableauPair, InvertedSSYT
+from .tableaux import BitableauPair, InvertedSSYT, ladders_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,6 +115,10 @@ def knuth_viennot(m: Multisegment) -> tuple[Multisegment, Multisegment]:
     return ladder, rest
 
 
+# (ladder, rest) of each peeling step, in order
+PeelTrace = tuple[tuple[Multisegment, Multisegment], ...]
+
+
 @dataclass(frozen=True, slots=True)
 class LadderSequence:
     """Ordered tuple of ladders; empty entries are allowed as explicit gaps."""
@@ -135,6 +140,11 @@ class LadderSequence:
             raise ShapeViolation(f"ladder sizes not weakly decreasing: {sizes}")
         return cls(tuple(ladders))
 
+    @classmethod
+    def from_trace(cls, trace: PeelTrace) -> LadderSequence:
+        """The RSK-shaped sequence of the ladders a peel trace split off."""
+        return cls.rsk_shaped([ladder for ladder, _ in trace])
+
     def __len__(self) -> int:
         return len(self.ladders)
 
@@ -150,18 +160,51 @@ class LadderSequence:
     def to_json(self) -> list[list[list[int]]]:
         return [lad.to_json() for lad in self.ladders]
 
+    def bitableau(self) -> BitableauPair:
+        """The bitableau whose rows carry these ladders.
 
-def rsk_transform(m: Multisegment) -> LadderSequence:
-    """Iterate the peeling map until nothing remains.
+        Row i holds the begins of the i-th ladder in strictly decreasing
+        order (P) and the matching end-plus-one values (Q).  Validity of the
+        tableaux, permissibility of the pair and the round trip through
+        ladders_of are all asserted rather than assumed.
+        """
+        if not self.ladders:
+            raise PreconditionError("empty multisegment has no bitableau")
+        p_rows = []
+        q_rows = []
+        for lad in self.ladders:
+            desc = tuple(reversed(lad.segments))
+            p_rows.append(tuple(s.b for s in desc))
+            q_rows.append(tuple(s.e + 1 for s in desc))
+        pair = BitableauPair(InvertedSSYT(tuple(p_rows)), InvertedSSYT(tuple(q_rows)))
+        if not pair.is_permissible():
+            raise InvariantViolation(f"bitableau of ladders {self} is not permissible")
+        if ladders_of(pair) != self.ladders:
+            raise InvariantViolation(f"bitableau of ladders {self} does not reproduce them")
+        return pair
 
-    The empty multisegment maps to the empty sequence by convention.
+
+def peel_trace(m: Multisegment) -> PeelTrace:
+    """The (ladder, rest) pair of every peeling step, iterated until nothing remains.
+
+    Step i peels the rest of step i - 1 (m itself for the first step), so
+    the first entry is knuth_viennot(m).  The empty multisegment has the
+    empty trace.
     """
-    ladders = []
+    steps = []
     rest = m
     while rest:
         ladder, rest = knuth_viennot(rest)
-        ladders.append(ladder)
-    return LadderSequence.rsk_shaped(ladders)
+        steps.append((ladder, rest))
+    return tuple(steps)
+
+
+def rsk_transform(m: Multisegment) -> LadderSequence:
+    """The ladders of the peel trace, in peeling order.
+
+    The empty multisegment maps to the empty sequence by convention.
+    """
+    return LadderSequence.from_trace(peel_trace(m))
 
 
 def width(m: Multisegment) -> int:
@@ -203,31 +246,14 @@ def is_permissible_pair(ladder: Multisegment, m: Multisegment) -> bool:
         memo[key] = ok
         return ok
 
-    return all(matchable(x, 1) for x in values)
+    try:
+        return all(matchable(x, 1) for x in values)
+    finally:
+        # matchable reaches itself through its closure; dropping the name
+        # breaks that cycle so memo and below are freed at return
+        del matchable
 
 
 def bitableau_of(m: Multisegment) -> BitableauPair:
-    """The bitableau whose rows carry the RSK ladders of m.
-
-    Row i holds the begins of the i-th ladder in strictly decreasing order
-    (P) and the matching end-plus-one values (Q).  Validity of the tableaux,
-    permissibility of the pair and the round trip through ladders_of are all
-    asserted rather than assumed.
-    """
-    from .tableaux import ladders_of
-
-    if not m:
-        raise PreconditionError("empty multisegment has no bitableau")
-    ladders = rsk_transform(m)
-    p_rows = []
-    q_rows = []
-    for lad in ladders:
-        desc = tuple(reversed(lad.segments))
-        p_rows.append(tuple(s.b for s in desc))
-        q_rows.append(tuple(s.e + 1 for s in desc))
-    pair = BitableauPair(InvertedSSYT(tuple(p_rows)), InvertedSSYT(tuple(q_rows)))
-    if not pair.is_permissible():
-        raise InvariantViolation(f"bitableau of {m} is not permissible")
-    if ladders_of(pair) != tuple(ladders):
-        raise InvariantViolation(f"bitableau of {m} does not reproduce its ladders")
-    return pair
+    """The bitableau whose rows carry the RSK ladders of m."""
+    return rsk_transform(m).bitableau()

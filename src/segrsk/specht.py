@@ -12,6 +12,7 @@ column-removal map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvariantViolation, ParseError, PreconditionError
 from .lattice import DominantWeight, Weight
@@ -178,11 +179,18 @@ def pad(kappa: Multicharge, mp: Multipartition) -> Multipartition:
     return out
 
 
+# distinct (charge, partition) keys a bounded Specht enumeration revisits;
+# level 3, size 8 and charges in [-2, 2] touch under a thousand
+LADDER_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=LADDER_CACHE_SIZE)
 def ladder_of_partition(k: int, mu: Partition) -> Multisegment:
     """The ladder with one segment [k - part + row, k + row - 1] per row.
 
     Asserted: the result is a ladder (or empty) whose weight is the k-content
-    of the conjugate shape.
+    of the conjugate shape.  Memoized: the function is pure and its values
+    immutable, so the assertions run once per distinct key.
     """
     segs = [
         Segment(k - p + i, k + i - 1) for i, p in enumerate(mu.parts, start=1)

@@ -40,8 +40,7 @@ class AdmissibleSequence:
     @lru_cache(maxsize=None)
     def bz(cls, t: int) -> AdmissibleSequence:
         """The BZ sequence (t, t-1, ..., -t)."""
-        if t < 0:
-            raise ValueError("BZ parameter must be non-negative")
+        _check_bz_parameter(t)
         return cls(tuple(range(t, -t - 1, -1)))
 
     def __len__(self) -> int:
@@ -49,6 +48,11 @@ class AdmissibleSequence:
 
     def __iter__(self):
         return iter(self.indices)
+
+
+def _check_bz_parameter(t: int) -> None:
+    if t < 0:
+        raise PreconditionError(f"BZ parameter must be non-negative, got {t}")
 
 
 def _check_length(i: AdmissibleSequence, a: Sequence[int]) -> None:
@@ -149,6 +153,7 @@ def phi_multiseg(ms: Sequence[Multisegment]) -> int:
 
 def bz_string(m: Multisegment, t: int) -> tuple[AdmissibleSequence, StringVector]:
     """Exponent vector of m over the BZ sequence, determined by begin counts."""
+    _check_bz_parameter(t)
     if not m.weight().in_subcone(t):
         raise PreconditionError(f"support of wt({m}) exceeds [-{t},{t}]")
     seq = AdmissibleSequence.bz(t)
@@ -179,6 +184,7 @@ def bz_derivative(m: Multisegment, t: int) -> Multisegment:
     begins at the next index.  The result must equal m.derived(); the
     equality is asserted.
     """
+    _check_bz_parameter(t)
     if not m.weight().in_subcone(t):
         raise PreconditionError(f"support of wt({m}) exceeds [-{t},{t}]")
     out = m

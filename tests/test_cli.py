@@ -1,7 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import segrsk
 from segrsk.cli import main
 
 
@@ -31,6 +36,13 @@ class TestRskCommand:
         code, _, err = run_cli(capsys, "rsk", "0", "--bitableau")
         assert code == 2
         assert "precondition" in err
+
+    def test_parse_error_json_envelope(self, capsys):
+        code, out, _ = run_cli(capsys, "rsk", "[2,1]", "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["status"] == "parse_error"
+        assert report["diagnostics"][0].startswith("parse error")
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(
@@ -87,6 +99,20 @@ class TestDeriveCommand:
     def test_bz_support_precondition(self, capsys):
         code, _, _ = run_cli(capsys, "derive", "--bz", "2", "[1,3]")
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["[1,3]", "0"])
+    def test_negative_bz_precondition(self, capsys, text):
+        code, out, err = run_cli(capsys, "derive", "--bz", "-1", text)
+        assert code == 2
+        assert out == ""
+        assert "precondition error" in err and "non-negative" in err
+        assert "[--1" not in err
+
+    def test_single_and_bz_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", "--single", "1", "--bz", "3", "[1,3]"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestSpechtCommand:
@@ -180,6 +206,26 @@ class TestCheckCommand:
         assert code == 0
         assert "combi: pass" in out
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [("--min", "3", "--max", "1"), ("--max-segments", "-1")],
+    )
+    def test_bad_bounds_exit_2(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "check", "--suite", "rsk", *bounds)
+        assert code == 2
+        assert out == ""
+        assert "precondition error" in err
+
+    def test_bad_bounds_json_envelope(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--min", "3", "--max", "1", "--json"
+        )
+        assert code == 2
+        report = json.loads(out)
+        assert report["status"] == "precondition_error"
+        assert report["payload"] == {}
+        assert "exceeds" in report["diagnostics"][0]
+
     def test_failure_exit_3(self, capsys, monkeypatch):
         import segrsk.strings as strings_mod
 
@@ -205,10 +251,14 @@ class TestCheckCommand:
 
 
 def test_module_entry_point():
+    # the child imports segrsk from the same tree as this test process
+    src = str(Path(segrsk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "segrsk", "rsk", "[1,1]+[1,2]", "--width"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "width: 2" in proc.stdout

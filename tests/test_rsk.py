@@ -1,4 +1,6 @@
+import gc
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +14,7 @@ from segrsk.rsk import (
     depth_function,
     is_permissible_pair,
     knuth_viennot,
+    peel_trace,
     rsk_transform,
     width,
 )
@@ -70,6 +73,47 @@ class TestRskTransform:
         assert width(Multisegment.empty()) == 0
 
 
+def _iterated_peels(m):
+    """Reference for peel_trace: knuth_viennot applied until nothing remains."""
+    steps = []
+    rest = m
+    while rest:
+        ladder, rest = knuth_viennot(rest)
+        steps.append((ladder, rest))
+    return tuple(steps)
+
+
+def _random_multisegment(rng, n):
+    return Multisegment.of(
+        *((b, b + rng.randint(0, 6)) for b in (rng.randint(-20, 20) for _ in range(n)))
+    )
+
+
+class TestPeelTrace:
+    def test_examples(self):
+        assert peel_trace(Multisegment.empty()) == ()
+        assert peel_trace(M((1, 1), (1, 2))) == (
+            (M((1, 2)), M((1, 1))),
+            (M((1, 1)), Multisegment.empty()),
+        )
+
+    def test_matches_iterated_peels_on_bounded_domain(self):
+        for m in enumerate_multisegments(EnumerationBounds(-2, 2, 4)):
+            steps = _iterated_peels(m)
+            assert peel_trace(m) == steps, str(m)
+            assert rsk_transform(m).ladders == tuple(lad for lad, _ in steps), str(m)
+
+    @pytest.mark.parametrize("n", [25, 100, 400])
+    def test_matches_iterated_peels_on_random_inputs(self, n):
+        rng = random.Random(2110 + n)
+        for _ in range(3 if n < 400 else 1):
+            m = _random_multisegment(rng, n)
+            steps = _iterated_peels(m)
+            assert peel_trace(m) == steps
+            assert rsk_transform(m) == LadderSequence.from_trace(steps)
+            assert rsk_transform(m).ladders == tuple(lad for lad, _ in steps)
+
+
 class TestLadderSequence:
     def test_rejects_non_ladder_entry(self):
         with pytest.raises(ShapeViolation):
@@ -95,6 +139,18 @@ class TestPermissiblePair:
     def test_non_ladder_rejected(self):
         with pytest.raises(PreconditionError):
             is_permissible_pair(M((1, 1), (1, 1)), M((1, 1)))
+
+    def test_frees_its_memo_at_return(self):
+        # the memoized search must not leave a reference cycle for the
+        # cyclic collector; with gc off, such a cycle would still be there
+        ladder, rest = knuth_viennot(M((0, 1), (1, 2), (1, 1), (2, 3)))
+        gc.collect()
+        gc.disable()
+        try:
+            assert is_permissible_pair(ladder, rest)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_agrees_with_oracle(self):
         bounds = EnumerationBounds(-1, 2, 2)
@@ -125,6 +181,13 @@ class TestBitableau:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             bitableau_of(Multisegment.empty())
+        with pytest.raises(PreconditionError):
+            LadderSequence().bitableau()
+
+    def test_method_matches_function(self):
+        for m in enumerate_multisegments(EnumerationBounds(-1, 1, 3)):
+            if m:
+                assert rsk_transform(m).bitableau() == bitableau_of(m), str(m)
 
     def test_injective_on_small_domain(self):
         # operationalizes the uniqueness claim for the permissible pair

@@ -140,6 +140,21 @@ class TestLadderOfPartition:
         assert ladder_of_partition(0, mu).derived() == ladder_of_partition(0, mu.cut())
         assert ladder_of_partition(0, mu.cut()) == M((0, 0))
 
+    def test_cache_matches_uncached(self):
+        from segrsk.checks import partitions_of
+        from segrsk.specht import LADDER_CACHE_SIZE
+
+        uncached = ladder_of_partition.__wrapped__
+        for n in range(9):
+            for mu in partitions_of(n):
+                for k in range(-3, 4):
+                    assert ladder_of_partition(k, mu) == uncached(k, mu), (k, mu)
+                    # a cache hit returns the value computed on the miss
+                    assert ladder_of_partition(k, mu) is ladder_of_partition(k, mu)
+        info = ladder_of_partition.cache_info()
+        assert info.maxsize == LADDER_CACHE_SIZE
+        assert info.currsize <= LADDER_CACHE_SIZE
+
     def test_weight_is_conjugate_content(self):
         for n in range(7):
             from segrsk.checks import partitions_of
