@@ -61,10 +61,8 @@ from .tableaux import (
     Partition,
     a_invariant,
     c_count,
-    conjugate,
     gamma_descriptor,
     ladders_of,
-    pair_checks,
     residue_sequence,
     standard_tableaux,
 )
@@ -101,7 +99,6 @@ __all__ = [
     "c_tuple",
     "cartan_form",
     "column_removal_check",
-    "conjugate",
     "content",
     "content_multi",
     "depth_function",
@@ -115,7 +112,6 @@ __all__ = [
     "ladders_of",
     "multiseg_of",
     "pad",
-    "pair_checks",
     "peel_trace",
     "phi_multiseg",
     "phi_weights",

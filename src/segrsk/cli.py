@@ -3,8 +3,8 @@
 Subcommands: rsk, derive, specht, tableaux, check.  Exit codes: 0 success,
 1 malformed input text, 2 violated precondition, 3 failed check suite.
 Machine output via --json round-trips through the documented schemas; under
---json, exits 1 and 2 also print the envelope, with the message as its
-diagnostic.
+--json, exits 1 and 2 (usage errors included) also print the envelope, with
+the message as its diagnostic.
 """
 
 from __future__ import annotations
@@ -201,8 +201,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 3 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage-error exit carries the message."""
+
+    def error(self, message: str):
+        try:
+            super().error(message)
+        except SystemExit as exc:
+            exc.usage_error = message
+            raise
+
+
+def _wants_json(argv: list[str]) -> bool:
+    # argparse accepts unambiguous prefixes, and --json is every
+    # subcommand's only option starting with --j
+    return any(len(arg) >= 3 and "--json".startswith(arg) for arg in argv)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="segrsk",
         description="Multisegment calculus: RSK transform, crystal derivatives "
         "and the Specht dictionary, with brute-force checks.",
@@ -274,8 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse already printed usage and message on stderr
+        message = getattr(exc, "usage_error", None)
+        if message is not None and _wants_json(argv):
+            _emit(CommandReport(status="usage_error", diagnostics=[message]), [], True)
+        raise
     try:
         return args.func(args)
     except ParseError as exc:

@@ -20,18 +20,35 @@ _TERM_RE = re.compile(r"^(-)?(?:(\d+)\*)?a\((-?\d+)\)$")
 
 
 class Weight:
-    """Element of the root lattice, stored as a canonical sparse map."""
+    """Element of the root lattice, stored as a canonical sparse map.
 
-    __slots__ = ("_coeffs",)
+    A dict from index to nonzero coefficient serves lookups, the cone order,
+    sums and the bilinear forms in O(support); the sorted tuple of its items
+    is the canonical form behind equality, hashing and printing.
+    """
+
+    __slots__ = ("_map", "_coeffs")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[int, int] = {}
+        get = acc.get
         for index, coeff in items:
-            acc[index] = acc.get(index, 0) + coeff
-        self._coeffs: tuple[tuple[int, int], ...] = tuple(
-            sorted((i, c) for i, c in acc.items() if c != 0)
-        )
+            if coeff:
+                acc[index] = get(index, 0) + coeff
+        # only cancellation leaves a zero
+        if 0 in acc.values():
+            acc = {i: c for i, c in acc.items() if c != 0}
+        self._map: dict[int, int] = acc
+        self._coeffs: tuple[tuple[int, int], ...] = tuple(sorted(acc.items()))
+
+    @classmethod
+    def _of_canonical(cls, coeffs: dict[int, int]) -> Weight:
+        """Wrap a dict with no zero coefficient; the dict is kept, not copied."""
+        w = object.__new__(cls)
+        w._map = coeffs
+        w._coeffs = tuple(sorted(coeffs.items()))
+        return w
 
     @classmethod
     def zero(cls) -> Weight:
@@ -46,49 +63,59 @@ class Weight:
         return self._coeffs
 
     def coeff(self, i: int) -> int:
-        for index, coeff in self._coeffs:
-            if index == i:
-                return coeff
-        return 0
+        return self._map.get(i, 0)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self._coeffs)
 
     def height(self) -> int:
         """Sum of coefficients."""
-        return sum(c for _, c in self._coeffs)
+        return sum(self._map.values())
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._map
 
     def is_positive(self) -> bool:
         """Membership in the positive cone (all coefficients >= 0)."""
-        return all(c >= 0 for _, c in self._coeffs)
+        return all(c >= 0 for c in self._map.values())
 
     def leq(self, other: Weight) -> bool:
         """Cone order: self <= other iff other - self has no negative coefficient."""
-        mine = dict(self._coeffs)
-        for i, c in other._coeffs:
-            if mine.pop(i, 0) > c:
-                return False
-        return all(c <= 0 for c in mine.values())
+        mine, theirs = self._map, other._map
+        return all(theirs.get(i, 0) >= c for i, c in mine.items()) and all(
+            c >= 0 for i, c in theirs.items() if i not in mine
+        )
 
     def dagger(self) -> Weight:
         """Index negation a(i) -> a(-i); an additive involution."""
-        return Weight((-i, c) for i, c in self._coeffs)
+        return Weight._of_canonical({-i: c for i, c in self._map.items()})
 
     def in_subcone(self, n: int) -> bool:
         """True iff positive with support inside [-n, n]."""
-        return self.is_positive() and all(-n <= i <= n for i, _ in self._coeffs)
+        return self.is_positive() and all(-n <= i <= n for i in self._map)
+
+    def _plus(self, other: Weight, sign: int) -> Weight:
+        if not other._map:
+            return self
+        acc = dict(self._map)
+        for i, c in other._map.items():
+            total = acc.get(i, 0) + sign * c
+            if total:
+                acc[i] = total
+            else:
+                del acc[i]
+        return Weight._of_canonical(acc)
 
     def __add__(self, other: Weight) -> Weight:
-        return Weight(self._coeffs + other._coeffs)
+        return self._plus(other, 1)
 
     def __sub__(self, other: Weight) -> Weight:
-        return Weight(self._coeffs + tuple((i, -c) for i, c in other._coeffs))
+        return self._plus(other, -1)
 
     def __rmul__(self, scalar: int) -> Weight:
-        return Weight((i, scalar * c) for i, c in self._coeffs)
+        if not scalar:
+            return Weight()
+        return Weight._of_canonical({i: scalar * c for i, c in self._map.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Weight) and self._coeffs == other._coeffs
@@ -97,7 +124,7 @@ class Weight:
         return hash(self._coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._map)
 
     def __repr__(self) -> str:
         return f"Weight({dict(self._coeffs)!r})"
@@ -142,17 +169,19 @@ class Weight:
 
 def cartan_form(b1: Weight, b2: Weight) -> int:
     """Symmetric bilinear form extending the A-type Cartan matrix."""
+    get = b2._map.get
     total = 0
-    for i, c in b1.items():
-        total += c * (2 * b2.coeff(i) - b2.coeff(i - 1) - b2.coeff(i + 1))
+    for i, c in b1._map.items():
+        total += c * (2 * get(i, 0) - get(i - 1, 0) - get(i + 1, 0))
     return total
 
 
 def ell_form(b1: Weight, b2: Weight) -> int:
     """Non-symmetric form: 1 on (a(i),a(i)), -1 on (a(i),a(i+1)), else 0."""
+    get = b2._map.get
     total = 0
-    for i, c in b1.items():
-        total += c * (b2.coeff(i) - b2.coeff(i + 1))
+    for i, c in b1._map.items():
+        total += c * (get(i, 0) - get(i + 1, 0))
     return total
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ParseError, PreconditionError
 from .lattice import Weight
@@ -67,15 +68,28 @@ class Segment:
         return f"[{self.b},{self.e}]"
 
 
+# Segment.rlex_key as a C-level key function
+_RLEX = attrgetter("e", "b")
+
+
 class Multisegment:
     """Finite multiset of segments in canonical right-lexicographic order."""
 
     __slots__ = ("_segs", "_wt", "_bw")
 
     def __init__(self, segments: Iterable[Segment] = ()):
-        object.__setattr__(self, "_segs", tuple(sorted(segments, key=Segment.rlex_key)))
-        object.__setattr__(self, "_wt", None)
-        object.__setattr__(self, "_bw", None)
+        self._segs = tuple(sorted(segments, key=_RLEX))
+        self._wt: Weight | None = None
+        self._bw: Weight | None = None
+
+    @classmethod
+    def _of_sorted(cls, segs: tuple[Segment, ...]) -> Multisegment:
+        """Wrap segments already in canonical order, skipping the sort."""
+        m = object.__new__(cls)
+        m._segs = segs
+        m._wt = None
+        m._bw = None
+        return m
 
     @classmethod
     def empty(cls) -> Multisegment:
@@ -146,36 +160,40 @@ class Multisegment:
         """Sum of a(b)+...+a(e) over all segments."""
         if self._wt is None:
             coeffs: dict[int, int] = {}
+            get = coeffs.get
             for s in self._segs:
                 for i in range(s.b, s.e + 1):
-                    coeffs[i] = coeffs.get(i, 0) + 1
-            object.__setattr__(self, "_wt", Weight(coeffs))
+                    coeffs[i] = get(i, 0) + 1
+            self._wt = Weight._of_canonical(coeffs)
         return self._wt
 
     def begin_weight(self) -> Weight:
         """Sum of a(b) over all segments; its height is the segment count."""
         if self._bw is None:
-            object.__setattr__(self, "_bw", Weight((s.b, 1) for s in self._segs))
+            coeffs: dict[int, int] = {}
+            get = coeffs.get
+            for s in self._segs:
+                coeffs[s.b] = get(s.b, 0) + 1
+            self._bw = Weight._of_canonical(coeffs)
         return self._bw
+
+    # derived, extended and shifted_right keep the order of (end, begin)
+    # keys, so their results need no re-sort
 
     def derived(self) -> Multisegment:
         """Shrink every segment from the left, dropping point segments."""
-        out = []
-        for s in self._segs:
-            d = s.derived()
-            if d is not None:
-                out.append(d)
-        return Multisegment(out)
+        derived = map(Segment.derived, self._segs)
+        return Multisegment._of_sorted(tuple(d for d in derived if d is not None))
 
     def extended(self) -> Multisegment:
         """Extend every segment by one to the left."""
-        return Multisegment(s.extended() for s in self._segs)
+        return Multisegment._of_sorted(tuple(map(Segment.extended, self._segs)))
 
     def dagger(self) -> Multisegment:
         return Multisegment(s.dagger() for s in self._segs)
 
     def shifted_right(self) -> Multisegment:
-        return Multisegment(s.shifted_right() for s in self._segs)
+        return Multisegment._of_sorted(tuple(map(Segment.shifted_right, self._segs)))
 
     def is_ladder(self) -> bool:
         """True iff nonempty and the segments form a chain under ll."""

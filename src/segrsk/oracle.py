@@ -2,21 +2,22 @@
 
 Everything here recomputes a main-path result by exhaustion: Dilworth width
 via bipartite matching, permissibility by trying every chain against every
-injective increasing assignment, tableau counts by hook lengths, and peeling
-determinism by re-running every admissible depth-class enumeration.  Oracles
-refuse oversized instances instead of sampling.
+injective increasing assignment, depths and one peel by scanning every pair
+of Segment objects, tableau counts by hook lengths, and peeling determinism
+by re-running every admissible depth-class enumeration.  Oracles refuse
+oversized instances instead of sampling.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import PreconditionError, SizeGuardExceeded
 from .multisegment import Multisegment, Segment
-from .rsk import _depth_classes, _kv_from_classes
+from .rsk import _depth_classes, _kv_from_classes, _pairs
 from .tableaux import Partition
 
 PERMISSIBLE_GUARD = 8
@@ -86,6 +87,54 @@ def dilworth_width(m: Multisegment) -> int:
     return n - matching
 
 
+def reference_depths(segs: Sequence[Segment]) -> list[int]:
+    """Longest ll-increasing chain length starting at each occurrence, minus one.
+
+    The reference for the peel's depth pass: every occurrence scans every
+    other one through Segment.ll.
+    """
+    n = len(segs)
+    # process in decreasing lex order so every ll-larger segment is done first
+    order = sorted(range(n), key=lambda i: segs[i].lex_key(), reverse=True)
+    depth = [0] * n
+    for i in order:
+        best = -1
+        for j in range(n):
+            if segs[i].ll(segs[j]) and depth[j] > best:
+                best = depth[j]
+        depth[i] = best + 1
+    return depth
+
+
+def reference_peel(m: Multisegment) -> tuple[Multisegment, Multisegment]:
+    """One peeling step on Segment objects, through a successor map.
+
+    The reference for the peel's int-pair internals: each depth class is
+    sorted (b asc, e desc), every occurrence takes the end of its cyclic
+    successor, and the class-final occurrences form the ladder.  No
+    postcondition is asserted.
+    """
+    if not m:
+        raise PreconditionError("cannot peel the empty multisegment")
+    segs = m.segments
+    classes: dict[int, list[int]] = {}
+    for i, d in enumerate(reference_depths(segs)):
+        classes.setdefault(d, []).append(i)
+    succ: dict[int, int] = {}
+    finals = set()
+    for idxs in classes.values():
+        idxs.sort(key=lambda i: (segs[i].b, -segs[i].e))
+        for a, b in zip(idxs, idxs[1:]):
+            succ[a] = b
+        succ[idxs[-1]] = idxs[0]
+        finals.add(idxs[-1])
+    ladder = []
+    rest = []
+    for i, s in enumerate(segs):
+        (ladder if i in finals else rest).append(Segment(s.b, segs[succ[i]].e))
+    return Multisegment(ladder), Multisegment(rest)
+
+
 def brute_permissible(ladder: Multisegment, m: Multisegment) -> bool:
     """Ground-truth permissibility by exhausting chains and assignments."""
     if not ladder.is_ladder():
@@ -131,15 +180,15 @@ def kv_choice_independence(m: Multisegment) -> bool:
         raise SizeGuardExceeded(f"{len(m)} occurrences exceed {KV_GUARD}")
     if not m:
         raise PreconditionError("cannot peel the empty multisegment")
-    segs = m.segments
-    classes = _depth_classes(segs)
+    pairs = _pairs(m)
+    classes = _depth_classes(pairs)
     per_class: list[list[list[int]]] = []
     for idxs in classes.values():
         valid = []
         for perm in itertools.permutations(idxs):
             ok = all(
-                segs[perm[r]].b <= segs[perm[r + 1]].b
-                and segs[perm[r]].e >= segs[perm[r + 1]].e
+                pairs[perm[r]][0] <= pairs[perm[r + 1]][0]
+                and pairs[perm[r]][1] >= pairs[perm[r + 1]][1]
                 for r in range(len(perm) - 1)
             )
             if ok:
@@ -149,7 +198,7 @@ def kv_choice_independence(m: Multisegment) -> bool:
     outputs = set()
     for choice in itertools.product(*per_class):
         chosen = dict(zip(keys, choice))
-        outputs.add(_kv_from_classes(segs, chosen))
+        outputs.add(_kv_from_classes(pairs, chosen))
         if len(outputs) > 1:
             return False
     return True

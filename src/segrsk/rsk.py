@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import InvariantViolation, PreconditionError, ShapeViolation
 from .multisegment import Multisegment, Segment
@@ -26,90 +27,116 @@ class DepthTable:
 
     depths: tuple[int, ...]
 
-    @property
-    def entries(self) -> tuple[tuple[int, int], ...]:
-        return tuple(enumerate(self.depths))
-
     def max_depth(self) -> int:
         return max(self.depths)
 
 
-def _depth_list(segs: Sequence[Segment]) -> list[int]:
+# An occurrence as its (begin, end) pair.  The peel internals take a
+# multisegment's pairs in its canonical order (end first, then begin), read
+# once per peel.
+Pair = tuple[int, int]
+
+
+def _pairs(m: Multisegment) -> list[Pair]:
+    return [(s.b, s.e) for s in m.segments]
+
+
+def _depth_list(pairs: Sequence[Pair]) -> list[int]:
     """Longest ll-increasing chain length starting at each occurrence, minus one."""
-    n = len(segs)
-    # process in decreasing lex order so every ll-larger segment is done first
-    order = sorted(range(n), key=lambda i: segs[i].lex_key(), reverse=True)
+    n = len(pairs)
     depth = [0] * n
-    for i in order:
-        best = -1
-        for j in range(n):
-            if segs[i].ll(segs[j]) and depth[j] > best:
-                best = depth[j]
-        depth[i] = best + 1
+    # ends ascend, so every ll-larger occurrence lies after i and is done first
+    for i in range(n - 1, -1, -1):
+        b, e = pairs[i]
+        best = 0
+        for j in range(i + 1, n):
+            bj, ej = pairs[j]
+            if b < bj and e < ej and depth[j] >= best:
+                best = depth[j] + 1
+        depth[i] = best
     return depth
 
 
 def depth_function(m: Multisegment) -> DepthTable:
     if not m:
         raise PreconditionError("depth of the empty multisegment is undefined")
-    return DepthTable(tuple(_depth_list(m.segments)))
+    return DepthTable(tuple(_depth_list(_pairs(m))))
 
 
-def _depth_classes(segs: Sequence[Segment]) -> dict[int, list[int]]:
+def _depth_classes(pairs: Sequence[Pair]) -> dict[int, list[int]]:
     """Occurrence indices per depth, each class sorted (b asc, e desc).
 
     Same-depth segments are pairwise ll-incomparable, so this stable sort is
     always a valid enumeration; the nested-interval condition is asserted.
     """
-    depth = _depth_list(segs)
+    depth = _depth_list(pairs)
+    begins = [b for b, _ in pairs]
     classes: dict[int, list[int]] = {}
-    for i, d in enumerate(depth):
-        classes.setdefault(d, []).append(i)
+    # ends descend in reversed canonical order, and the sort by begin is stable
+    for i in sorted(range(len(pairs) - 1, -1, -1), key=begins.__getitem__):
+        classes.setdefault(depth[i], []).append(i)
     for d, idxs in classes.items():
-        idxs.sort(key=lambda i: (segs[i].b, -segs[i].e))
         for a, b in zip(idxs, idxs[1:]):
-            if segs[a].b > segs[b].b or segs[a].e < segs[b].e:
+            if pairs[a][0] > pairs[b][0] or pairs[a][1] < pairs[b][1]:
                 raise InvariantViolation(
                     f"depth class {d} admits no nested enumeration: "
-                    f"{[str(segs[i]) for i in idxs]}"
+                    f"{[f'[{pairs[i][0]},{pairs[i][1]}]' for i in idxs]}"
                 )
     return classes
 
 
 def _kv_from_classes(
-    segs: Sequence[Segment], classes: dict[int, list[int]]
+    pairs: Sequence[Pair], classes: dict[int, list[int]]
 ) -> tuple[Multisegment, Multisegment]:
-    """One peeling step for a fixed choice of per-class enumerations."""
-    succ: dict[int, int] = {}
-    finals: list[int] = []
-    for idxs in classes.values():
-        for a, b in zip(idxs, idxs[1:]):
-            succ[a] = b
-        succ[idxs[-1]] = idxs[0]
-        finals.append(idxs[-1])
-    final_set = set(finals)
+    """One peeling step for a fixed choice of per-class enumerations.
+
+    Each class passes its ends one step back along its enumeration: every
+    occurrence but the last takes its successor's end and joins the rest,
+    and the last takes the first one's end and joins the ladder.
+    """
     ladder_segs = []
     rest_segs = []
-    for i in range(len(segs)):
-        star = Segment(segs[i].b, segs[succ[i]].e)
-        (ladder_segs if i in final_set else rest_segs).append(star)
+    for idxs in classes.values():
+        b_prev, e_first = pairs[idxs[0]]
+        for i in idxs[1:]:
+            b, e = pairs[i]
+            rest_segs.append(Segment(b_prev, e))
+            b_prev = b
+        ladder_segs.append(Segment(b_prev, e_first))
     return Multisegment(ladder_segs), Multisegment(rest_segs)
 
 
-def knuth_viennot(m: Multisegment) -> tuple[Multisegment, Multisegment]:
-    """One RSK peeling step: (ladder, rest) with wt conserved.
+_BEGIN = attrgetter("b")
+_END = attrgetter("e")
 
-    Postconditions (asserted): the first component is a ladder, the pair is
-    permissible, and the weights add back to wt(m).
+
+def _keeps_endpoints(m: Multisegment, ladder: Multisegment, rest: Multisegment) -> bool:
+    """True iff ladder and rest together have m's begins and ends, as multisets.
+
+    This fixes the weight and the begin weight, since the coefficient of
+    a(i) in wt is #{begins <= i} - #{ends < i}.
+    """
+    out = ladder.segments + rest.segments
+    return sorted(map(_BEGIN, out)) == sorted(map(_BEGIN, m.segments)) and sorted(
+        map(_END, out)
+    ) == sorted(map(_END, m.segments))
+
+
+def knuth_viennot(m: Multisegment) -> tuple[Multisegment, Multisegment]:
+    """One RSK peeling step: (ladder, rest) with begins and ends conserved.
+
+    Postconditions (asserted): the first component is a ladder, ladder and
+    rest together keep m's begins and ends as multisets (so the weights add
+    back to wt(m)), and the pair is permissible.
     """
     if not m:
         raise PreconditionError("cannot peel the empty multisegment")
-    segs = m.segments
-    ladder, rest = _kv_from_classes(segs, _depth_classes(segs))
+    pairs = _pairs(m)
+    ladder, rest = _kv_from_classes(pairs, _depth_classes(pairs))
     if not ladder.is_ladder():
         raise InvariantViolation(f"peeled component of {m} is not a ladder: {ladder}")
-    if ladder.weight() + rest.weight() != m.weight():
-        raise InvariantViolation(f"weight not conserved when peeling {m}")
+    if not _keeps_endpoints(m, ladder, rest):
+        raise InvariantViolation(f"begins or ends not conserved when peeling {m}")
     if not is_permissible_pair(ladder, rest):
         raise InvariantViolation(f"peeling {m} produced a non-permissible pair")
     return ladder, rest

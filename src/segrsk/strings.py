@@ -24,6 +24,9 @@ from .multisegment import Multisegment
 
 StringVector = tuple[int, ...]
 
+# BZ sequences kept by AdmissibleSequence.bz; each holds 2t + 1 indices
+BZ_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True, slots=True)
 class AdmissibleSequence:
@@ -37,7 +40,7 @@ class AdmissibleSequence:
                 raise ValueError(f"equal neighbours at position {r + 1}")
 
     @classmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=BZ_CACHE_SIZE)
     def bz(cls, t: int) -> AdmissibleSequence:
         """The BZ sequence (t, t-1, ..., -t)."""
         _check_bz_parameter(t)

@@ -86,10 +86,6 @@ class Partition:
         return ",".join(str(p) for p in self.parts) if self.parts else "()"
 
 
-def conjugate(mu: Partition) -> Partition:
-    return mu.conjugate()
-
-
 def a_invariant(mu: Partition) -> int:
     """Sum of m*(m*-1) over the conjugate parts m*; always even."""
     return sum(m * (m - 1) for m in mu.conjugate().parts)
@@ -165,15 +161,6 @@ class BitableauPair:
             for prow, qrow in zip(self.p.rows, self.q.rows)
             for c, d in zip(prow, qrow)
         )
-
-
-def pair_checks(pq: BitableauPair) -> tuple[bool, bool]:
-    """(admissible, permissible) for a same-shape pair."""
-    return pq.is_admissible(), pq.is_permissible()
-
-
-def increment(p: InvertedSSYT) -> InvertedSSYT:
-    return p.increment()
 
 
 def ladders_of(pq: BitableauPair) -> tuple[Multisegment, ...]:

@@ -114,6 +114,25 @@ class TestDeriveCommand:
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
+    def test_usage_error_json_envelope(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", "--single", "1", "--bz", "3", "--json", "[1,3]"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: segrsk derive")
+        assert "error: argument --bz: not allowed with argument --single" in captured.err
+        assert json.loads(captured.out) == {
+            "status": "usage_error",
+            "payload": {},
+            "diagnostics": ["argument --bz: not allowed with argument --single"],
+        }
+
+    def test_usage_error_without_json_prints_no_envelope(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", "--single", "1", "--bz", "3", "[1,3]"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestSpechtCommand:
     def test_proper_worked_example(self, capsys):
@@ -208,7 +227,14 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize(
         "bounds",
-        [("--min", "3", "--max", "1"), ("--max-segments", "-1")],
+        [
+            ("--min", "3", "--max", "1"),
+            ("--max-segments", "-1"),
+            # a level cap below 1 or a negative sample would check nothing
+            ("--level", "0"),
+            ("--level", "-1"),
+            ("--sample", "-1"),
+        ],
     )
     def test_bad_bounds_exit_2(self, capsys, bounds):
         code, out, err = run_cli(capsys, "check", "--suite", "rsk", *bounds)
@@ -225,6 +251,15 @@ class TestCheckCommand:
         assert report["status"] == "precondition_error"
         assert report["payload"] == {}
         assert "exceeds" in report["diagnostics"][0]
+
+    def test_bad_level_and_sample_json_envelope(self, capsys):
+        for flags, word in ((("--level", "0"), "level cap"), (("--sample", "-1"), "sample size")):
+            code, out, _ = run_cli(capsys, "check", *flags, "--json")
+            assert code == 2
+            report = json.loads(out)
+            assert report["status"] == "precondition_error"
+            assert report["payload"] == {}
+            assert word in report["diagnostics"][0]
 
     def test_failure_exit_3(self, capsys, monkeypatch):
         import segrsk.strings as strings_mod

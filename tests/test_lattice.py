@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -93,6 +95,64 @@ class TestWeightOps:
     @given(weights)
     def test_json_round_trip(self, w):
         assert Weight.from_json(w.to_json()) == w
+
+
+def _scan_coeff(w, i):
+    """Coefficient by a linear scan of the canonical items."""
+    return next((c for j, c in w.items() if j == i), 0)
+
+
+def _brute_form(b1, b2, pairing):
+    """Double sum of c1 * c2 * pairing(i, j) over both supports."""
+    return sum(c1 * c2 * pairing(i, j) for i, c1 in b1.items() for j, c2 in b2.items())
+
+
+def _cartan_pairing(i, j):
+    return {0: 2, 1: -1}.get(abs(i - j), 0)
+
+
+def _ell_pairing(i, j):
+    return {0: 1, 1: -1}.get(j - i, 0)
+
+
+def _seeded_weight_pairs():
+    rng = random.Random(733)
+    for size in (0, 1, 5, 40, 200):
+        for _ in range(5):
+            pair = [
+                Weight((rng.randint(-30, 30), rng.randint(-3, 3)) for _ in range(size))
+                for _ in range(2)
+            ]
+            yield tuple(pair)
+
+
+class TestAgainstBasisDefinition:
+    """The dict-backed operations against scans and double sums over the basis."""
+
+    def _check(self, b1, b2):
+        support = set(b1.support()) | set(b2.support())
+        for i in support | {min(support, default=0) - 1}:
+            assert b1.coeff(i) == _scan_coeff(b1, i)
+        total = b1 + b2
+        diff = b2 - b1
+        for i in support:
+            assert total.coeff(i) == _scan_coeff(b1, i) + _scan_coeff(b2, i)
+            assert diff.coeff(i) == _scan_coeff(b2, i) - _scan_coeff(b1, i)
+        assert all(c != 0 for _, c in total.items() + diff.items())
+        assert total == Weight(b1.items() + b2.items())
+        assert hash(total) == hash(Weight(b1.items() + b2.items()))
+        assert b1.leq(b2) == all(_scan_coeff(b2, i) >= _scan_coeff(b1, i) for i in support)
+        assert cartan_form(b1, b2) == _brute_form(b1, b2, _cartan_pairing)
+        assert ell_form(b1, b2) == _brute_form(b1, b2, _ell_pairing)
+
+    @given(weights, weights)
+    def test_small_weights(self, b1, b2):
+        self._check(b1, b2)
+
+    def test_seeded_large_supports(self):
+        for b1, b2 in _seeded_weight_pairs():
+            self._check(b1, b2)
+            self._check(b1, b1 + b2)
 
 
 class TestDominantWeight:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from segrsk.errors import ParseError, PreconditionError
 from segrsk.lattice import Weight
 from segrsk.multisegment import Multisegment, Segment, point_multisegment
+from segrsk.oracle import EnumerationBounds, enumerate_multisegments
 
 alpha = Weight.alpha
 
@@ -90,6 +93,34 @@ class TestDeriveExtend:
     @given(multisegments)
     def test_derivative_weight_identity(self, m):
         assert m.derived().weight() + m.begin_weight() == m.weight()
+
+
+def _domain_and_random_inputs():
+    """All of EnumerationBounds(-2, 2, 4), then seeded random inputs up to n = 400."""
+    yield from enumerate_multisegments(EnumerationBounds(-2, 2, 4))
+    rng = random.Random(5147)
+    for n in (25, 100, 400):
+        for _ in range(3):
+            yield Multisegment(
+                Segment(b, b + rng.randint(0, 6))
+                for b in (rng.randint(-20, 20) for _ in range(n))
+            )
+
+
+class TestOrderPreservingMaps:
+    """derived, extended and shifted_right skip the re-sort; the constructor does it."""
+
+    def test_match_resorted(self):
+        for m in _domain_and_random_inputs():
+            derived = [s.derived() for s in m]
+            assert m.derived() == Multisegment(d for d in derived if d is not None)
+            assert m.extended() == Multisegment(s.extended() for s in m)
+            assert m.shifted_right() == Multisegment(s.shifted_right() for s in m)
+
+    def test_weight_maps_match_per_index_sums(self):
+        for m in _domain_and_random_inputs():
+            assert m.weight() == Weight((i, 1) for s in m for i in range(s.b, s.e + 1))
+            assert m.begin_weight() == Weight((s.b, 1) for s in m)
 
 
 class TestDagger:

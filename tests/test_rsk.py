@@ -10,6 +10,9 @@ from segrsk.multisegment import Multisegment
 from segrsk.oracle import EnumerationBounds, enumerate_multisegments
 from segrsk.rsk import (
     LadderSequence,
+    _depth_list,
+    _keeps_endpoints,
+    _pairs,
     bitableau_of,
     depth_function,
     is_permissible_pair,
@@ -112,6 +115,52 @@ class TestPeelTrace:
             assert peel_trace(m) == steps
             assert rsk_transform(m) == LadderSequence.from_trace(steps)
             assert rsk_transform(m).ladders == tuple(lad for lad, _ in steps)
+
+
+def _domain_and_random_inputs():
+    """Every nonempty input of EnumerationBounds(-2, 2, 4), then seeded random ones."""
+    for m in enumerate_multisegments(EnumerationBounds(-2, 2, 4)):
+        if m:
+            yield m
+    rng = random.Random(4031)
+    for n in (25, 100, 400):
+        for _ in range(3 if n < 400 else 1):
+            yield _random_multisegment(rng, n)
+
+
+def _weights_add_up(m, ladder, rest):
+    """The weight identity the begins/ends postcondition replaced."""
+    return ladder.weight() + rest.weight() == m.weight()
+
+
+class TestPeelInternals:
+    def test_depths_match_reference(self):
+        for m in _domain_and_random_inputs():
+            expected = oracle.reference_depths(m.segments)
+            assert _depth_list(_pairs(m)) == expected, str(m)
+            assert depth_function(m).depths == tuple(expected), str(m)
+
+    def test_peel_matches_reference(self):
+        for m in _domain_and_random_inputs():
+            assert knuth_viennot(m) == oracle.reference_peel(m), str(m)
+
+    def test_endpoint_postcondition_implies_weight_identity(self):
+        for m in _domain_and_random_inputs():
+            ladder, rest = knuth_viennot(m)
+            assert _keeps_endpoints(m, ladder, rest), str(m)
+            assert _weights_add_up(m, ladder, rest), str(m)
+            # a corrupted rest breaks the weight identity, and then the
+            # endpoint check must reject it too
+            for bad in (rest.derived(), rest.shifted_right(), rest.extended()):
+                if bad != rest:
+                    assert not _weights_add_up(m, ladder, bad), str(m)
+                    assert not _keeps_endpoints(m, ladder, bad), str(m)
+
+    def test_endpoint_postcondition_is_stronger(self):
+        # same weight a(1) + a(2), different begins and ends
+        m = M((1, 1), (2, 2))
+        assert _weights_add_up(m, M((1, 2)), Multisegment.empty())
+        assert not _keeps_endpoints(m, M((1, 2)), Multisegment.empty())
 
 
 class TestLadderSequence:

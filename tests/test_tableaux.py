@@ -17,9 +17,7 @@ from segrsk.tableaux import (
     a_invariant,
     c_count,
     gamma_descriptor,
-    increment,
     ladders_of,
-    pair_checks,
     residue_sequence,
     residue_weight,
     standard_tableaux,
@@ -89,19 +87,19 @@ class TestInvertedSSYT:
             InvertedSSYT.of((2,), (3, 1))
 
     def test_increment(self):
-        assert increment(InvertedSSYT.of((2, 1))).rows == ((3, 2),)
-        assert increment(InvertedSSYT()).rows == ()
-        assert increment(InvertedSSYT.of((1,), (1,))).rows == ((2,), (2,))
+        assert InvertedSSYT.of((2, 1)).increment().rows == ((3, 2),)
+        assert InvertedSSYT().increment().rows == ()
+        assert InvertedSSYT.of((1,), (1,)).increment().rows == ((2,), (2,))
 
 
 class TestPairChecks:
     def test_examples(self):
         pair = BitableauPair(InvertedSSYT.of((1,)), InvertedSSYT.of((3,)))
-        assert pair_checks(pair) == (True, True)
+        assert (pair.is_admissible(), pair.is_permissible()) == (True, True)
         pair = BitableauPair(InvertedSSYT.of((1,)), InvertedSSYT.of((1,)))
-        assert pair_checks(pair) == (True, False)
+        assert (pair.is_admissible(), pair.is_permissible()) == (True, False)
         pair = BitableauPair(InvertedSSYT.of((2,)), InvertedSSYT.of((1,)))
-        assert pair_checks(pair) == (False, False)
+        assert (pair.is_admissible(), pair.is_permissible()) == (False, False)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeViolation):
