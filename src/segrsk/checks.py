@@ -37,11 +37,6 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def merge(self, other: SuiteResult) -> None:
-        self.cases += other.cases
-        self.failures.extend(other.failures)
-        self.notes.extend(other.notes)
-
 
 def bounded_instances(
     bounds: EnumerationBounds, seed: int, sample: int
@@ -328,13 +323,7 @@ def suite_specht(
                 continue
             result.cases += 1
             case = f"kappa=({kappa}) mp=({mp})"
-            try:
-                padded = specht.pad(kappa, mp)
-            except InvariantViolation as exc:
-                result.failures.append(f"pad failed on {case}: {exc} | {repro}")
-                continue
-            if not specht.is_proper(kappa, padded) or padded.cut() != mp:
-                result.failures.append(f"pad postcondition broken on {case} | {repro}")
+            # specht_rsk_verify pads, and pad asserts properness and the cut
             try:
                 report = specht.specht_rsk_verify(kappa, mp)
             except InvariantViolation as exc:

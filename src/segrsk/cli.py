@@ -1,24 +1,46 @@
 """Command-line front end.
 
 Subcommands: rsk, derive, specht, tableaux, check.  Exit codes: 0 success,
-1 malformed input text, 2 violated precondition, 3 failed check suite.
-Machine output via --json round-trips through the documented schemas; under
---json, exits 1 and 2 (usage errors included) also print the envelope, with
-the message as its diagnostic.
+1 malformed input text, 2 violated precondition or size guard, 3 failed check
+suite, 4 internal identity violated (a library bug; stderr also carries a
+line that reproduces the call).  EXIT_CODES maps each exception type to its
+status and exit code.  Machine output via --json round-trips through the
+documented schemas; under --json, exits 1, 2 and 4 (usage errors included)
+also print the envelope, with the messages as its diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from dataclasses import dataclass, field
 
-from . import checks, rsk, specht, strings, tableaux
-from .errors import ParseError, PreconditionError
+from . import checks, oracle, rsk, specht, strings, tableaux
+from .errors import (
+    InvariantViolation,
+    ParseError,
+    PreconditionError,
+    ShapeViolation,
+    SizeGuardExceeded,
+)
 from .multisegment import Multisegment
 from .oracle import EnumerationBounds
 from .tableaux import Partition
+
+# exception type -> (envelope status, exit code); the stderr message is
+# prefixed with the status, spelt with a space
+EXIT_CODES = {
+    ParseError: ("parse_error", 1),
+    PreconditionError: ("precondition_error", 2),
+    SizeGuardExceeded: ("precondition_error", 2),
+    InvariantViolation: ("internal_error", 4),
+    ShapeViolation: ("internal_error", 4),
+}
+
+# most standard tableaux `tableaux --shape` lists; counted before enumerating
+TABLEAUX_CAP = 100_000
 
 
 @dataclass
@@ -160,6 +182,11 @@ def _cmd_tableaux(args: argparse.Namespace) -> int:
     report = CommandReport()
     lines: list[str] = []
     shape = Partition.parse(args.shape)
+    count = oracle.hook_length_count(shape)
+    if count > TABLEAUX_CAP:
+        raise PreconditionError(
+            f"shape {shape} has {count} standard tableaux, above the cap {TABLEAUX_CAP}"
+        )
     fillings = tableaux.standard_tableaux(shape)
     entries = []
     for filling in fillings:
@@ -303,18 +330,19 @@ def main(argv: list[str] | None = None) -> int:
         raise
     try:
         return args.func(args)
-    except ParseError as exc:
-        return _fail(args, "parse_error", f"parse error: {exc}", 1)
-    except PreconditionError as exc:
-        return _fail(args, "precondition_error", f"precondition error: {exc}", 2)
-
-
-def _fail(args: argparse.Namespace, status: str, message: str, code: int) -> int:
-    """Report an input error on stderr, and in the envelope under --json."""
-    print(message, file=sys.stderr)
-    if args.json:
-        _emit(CommandReport(status=status, diagnostics=[message]), [], True)
-    return code
+    except tuple(EXIT_CODES) as exc:
+        status, code = next(
+            row for kind, row in EXIT_CODES.items() if isinstance(exc, kind)
+        )
+        # report on stderr, and in the envelope under --json
+        diagnostics = [f"{status.replace('_', ' ')}: {exc}"]
+        if code == 4:
+            diagnostics.append(f"reproduce: segrsk {shlex.join(argv)}")
+        for line in diagnostics:
+            print(line, file=sys.stderr)
+        if args.json:
+            _emit(CommandReport(status=status, diagnostics=diagnostics), [], True)
+        return code
 
 
 if __name__ == "__main__":

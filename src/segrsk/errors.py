@@ -1,9 +1,10 @@
 """Shared exception types with a stable CLI exit-code mapping.
 
-ParseError -> exit 1, PreconditionError -> exit 2; check-suite failures are
-reported as data and exit 3.  ShapeViolation and InvariantViolation signal
-malformed combinatorial data or a failed internal identity; they are never
-silently repaired.
+ParseError -> exit 1; PreconditionError and SizeGuardExceeded -> exit 2;
+check-suite failures are reported as data and exit 3.  ShapeViolation and
+InvariantViolation signal malformed combinatorial data or a failed internal
+identity, which only a library bug produces; they are never silently
+repaired, and the CLI exits 4 with a line that reproduces the call.
 """
 
 

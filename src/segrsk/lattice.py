@@ -6,6 +6,9 @@ Cartan form with (a(i),a(j)) = 2, -1, 0 according to |i-j| = 0, 1, >1, and a
 non-symmetric form with (a(i),a(j))_l = 1 for i=j, -1 for j=i+1, 0 otherwise.
 Their polarization identity (x,y)_l + (y,x)_l = (x,y) holds on the basis.
 
+Weights, Laurent polynomials in q and dominant weights are all finitely
+supported integer maps; they share one sparse representation.
+
 All arithmetic is exact; Python integers never overflow.
 """
 
@@ -19,12 +22,13 @@ from .errors import ParseError
 _TERM_RE = re.compile(r"^(-)?(?:(\d+)\*)?a\((-?\d+)\)$")
 
 
-class Weight:
-    """Element of the root lattice, stored as a canonical sparse map.
+class _SparseMap:
+    """Finitely supported map from integers to nonzero integers.
 
-    A dict from index to nonzero coefficient serves lookups, the cone order,
-    sums and the bilinear forms in O(support); the sorted tuple of its items
-    is the canonical form behind equality, hashing and printing.
+    A dict from index to nonzero coefficient serves lookups, sums and the
+    bilinear forms in O(support); the sorted tuple of its items is the
+    canonical form behind equality, hashing and printing.  Maps of different
+    subclasses never compare equal.
     """
 
     __slots__ = ("_map", "_coeffs")
@@ -43,7 +47,7 @@ class Weight:
         self._coeffs: tuple[tuple[int, int], ...] = tuple(sorted(acc.items()))
 
     @classmethod
-    def _of_canonical(cls, coeffs: dict[int, int]) -> Weight:
+    def _of_canonical(cls, coeffs: dict[int, int]) -> _SparseMap:
         """Wrap a dict with no zero coefficient; the dict is kept, not copied."""
         w = object.__new__(cls)
         w._map = coeffs
@@ -51,13 +55,8 @@ class Weight:
         return w
 
     @classmethod
-    def zero(cls) -> Weight:
+    def zero(cls) -> _SparseMap:
         return cls()
-
-    @classmethod
-    def alpha(cls, i: int) -> Weight:
-        """The simple root a(i)."""
-        return cls(((i, 1),))
 
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._coeffs
@@ -65,36 +64,21 @@ class Weight:
     def coeff(self, i: int) -> int:
         return self._map.get(i, 0)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self._coeffs)
-
     def height(self) -> int:
         """Sum of coefficients."""
         return sum(self._map.values())
-
-    def is_zero(self) -> bool:
-        return not self._map
 
     def is_positive(self) -> bool:
         """Membership in the positive cone (all coefficients >= 0)."""
         return all(c >= 0 for c in self._map.values())
 
-    def leq(self, other: Weight) -> bool:
-        """Cone order: self <= other iff other - self has no negative coefficient."""
-        mine, theirs = self._map, other._map
-        return all(theirs.get(i, 0) >= c for i, c in mine.items()) and all(
-            c >= 0 for i, c in theirs.items() if i not in mine
-        )
-
-    def dagger(self) -> Weight:
+    def dagger(self) -> _SparseMap:
         """Index negation a(i) -> a(-i); an additive involution."""
-        return Weight._of_canonical({-i: c for i, c in self._map.items()})
+        return self._of_canonical({-i: c for i, c in self._map.items()})
 
-    def in_subcone(self, n: int) -> bool:
-        """True iff positive with support inside [-n, n]."""
-        return self.is_positive() and all(-n <= i <= n for i in self._map)
-
-    def _plus(self, other: Weight, sign: int) -> Weight:
+    def _plus(self, other: _SparseMap, sign: int) -> _SparseMap:
+        if type(other) is not type(self):
+            return NotImplemented
         if not other._map:
             return self
         acc = dict(self._map)
@@ -104,21 +88,24 @@ class Weight:
                 acc[i] = total
             else:
                 del acc[i]
-        return Weight._of_canonical(acc)
+        return self._of_canonical(acc)
 
-    def __add__(self, other: Weight) -> Weight:
+    def __add__(self, other: _SparseMap) -> _SparseMap:
         return self._plus(other, 1)
 
-    def __sub__(self, other: Weight) -> Weight:
+    def __sub__(self, other: _SparseMap) -> _SparseMap:
         return self._plus(other, -1)
 
-    def __rmul__(self, scalar: int) -> Weight:
+    def __rmul__(self, scalar: int) -> _SparseMap:
         if not scalar:
-            return Weight()
-        return Weight._of_canonical({i: scalar * c for i, c in self._map.items()})
+            return type(self)()
+        return self._of_canonical({i: scalar * c for i, c in self._map.items()})
+
+    def __neg__(self) -> _SparseMap:
+        return -1 * self
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Weight) and self._coeffs == other._coeffs
+        return type(other) is type(self) and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
@@ -127,7 +114,39 @@ class Weight:
         return bool(self._map)
 
     def __repr__(self) -> str:
-        return f"Weight({dict(self._coeffs)!r})"
+        return f"{type(self).__name__}({dict(self._coeffs)!r})"
+
+    def to_json(self) -> dict[str, int]:
+        return {str(i): c for i, c in self._coeffs}
+
+    @classmethod
+    def from_json(cls, data: Mapping[str, int]) -> _SparseMap:
+        return cls((int(i), c) for i, c in data.items())
+
+
+class Weight(_SparseMap):
+    """Element of the root lattice: a sparse map from index to coefficient."""
+
+    __slots__ = ()
+
+    @classmethod
+    def alpha(cls, i: int) -> Weight:
+        """The simple root a(i)."""
+        return cls(((i, 1),))
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(i for i, _ in self._coeffs)
+
+    def leq(self, other: Weight) -> bool:
+        """Cone order: self <= other iff other - self has no negative coefficient."""
+        mine, theirs = self._map, other._map
+        return all(theirs.get(i, 0) >= c for i, c in mine.items()) and all(
+            c >= 0 for i, c in theirs.items() if i not in mine
+        )
+
+    def in_subcone(self, n: int) -> bool:
+        """True iff positive with support inside [-n, n]."""
+        return self.is_positive() and all(-n <= i <= n for i in self._map)
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -159,13 +178,6 @@ class Weight:
             coeffs.append((int(m.group(3)), coeff))
         return cls(coeffs)
 
-    def to_json(self) -> dict[str, int]:
-        return {str(i): c for i, c in self._coeffs}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, int]) -> Weight:
-        return cls((int(i), c) for i, c in data.items())
-
 
 def cartan_form(b1: Weight, b2: Weight) -> int:
     """Symmetric bilinear form extending the A-type Cartan matrix."""
@@ -185,67 +197,37 @@ def ell_form(b1: Weight, b2: Weight) -> int:
     return total
 
 
-class DominantWeight:
+class DominantWeight(_SparseMap):
     """Non-negative combination of fundamental weights, indexed by integers."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, int] = {}
-        for index, coeff in items:
-            acc[index] = acc.get(index, 0) + coeff
-        if any(c < 0 for c in acc.values()):
+        super().__init__(coeffs)
+        if not self.is_positive():
             raise ValueError("dominant weight coefficients must be non-negative")
-        self._coeffs = tuple(sorted((i, c) for i, c in acc.items() if c != 0))
+
+    @classmethod
+    def _of_canonical(cls, coeffs: dict[int, int]) -> DominantWeight:
+        # arithmetic results go through the non-negativity check too
+        return cls(coeffs)
 
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> DominantWeight:
         """Sum of fundamental weights at the given indices (with repetition)."""
         return cls((i, 1) for i in indices)
 
-    def items(self) -> tuple[tuple[int, int], ...]:
-        return self._coeffs
-
-    def coeff(self, i: int) -> int:
-        for index, coeff in self._coeffs:
-            if index == i:
-                return coeff
-        return 0
-
-    def level(self) -> int:
-        return sum(c for _, c in self._coeffs)
-
-    def dagger(self) -> DominantWeight:
-        return DominantWeight((-i, c) for i, c in self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DominantWeight) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(("dominant", self._coeffs))
-
-    def __repr__(self) -> str:
-        return f"DominantWeight({dict(self._coeffs)!r})"
+    level = _SparseMap.height
 
 
-class LaurentPoly:
-    """Laurent polynomial in q with integer coefficients, stored sparsely."""
+class LaurentPoly(_SparseMap):
+    """Laurent polynomial in q with integer coefficients, stored sparsely.
 
-    __slots__ = ("_terms",)
+    The map sends each exponent to its coefficient; terms, printing and JSON
+    list the highest exponent first.
+    """
 
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, int] = {}
-        for exp, coeff in items:
-            acc[exp] = acc.get(exp, 0) + coeff
-        self._terms: tuple[tuple[int, int], ...] = tuple(
-            sorted(((e, c) for e, c in acc.items() if c != 0), reverse=True)
-        )
-
-    @classmethod
-    def zero(cls) -> LaurentPoly:
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> LaurentPoly:
@@ -256,59 +238,32 @@ class LaurentPoly:
         return cls(((k, coeff),))
 
     def terms(self) -> tuple[tuple[int, int], ...]:
-        return self._terms
-
-    def coeff(self, exp: int) -> int:
-        for e, c in self._terms:
-            if e == exp:
-                return c
-        return 0
-
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly(self._terms + other._terms)
+        return self._coeffs[::-1]
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
-            return LaurentPoly((e, other * c) for e, c in self._terms)
+            return _SparseMap.__rmul__(self, other)
         return LaurentPoly(
-            (e1 + e2, c1 * c2) for e1, c1 in self._terms for e2, c2 in other._terms
+            (e1 + e2, c1 * c2) for e1, c1 in self._coeffs for e2, c2 in other._coeffs
         )
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> LaurentPoly:
-        return self * -1
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
-
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by q**k."""
-        return LaurentPoly((e + k, c) for e, c in self._terms)
+        return self._of_canonical({e + k: c for e, c in self._map.items()})
 
-    def eval_at_one(self) -> int:
-        return sum(c for _, c in self._terms)
-
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for _, c in self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    eval_at_one = _SparseMap.height
+    is_nonnegative = _SparseMap.is_positive
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({dict(self._terms)!r})"
+        return f"LaurentPoly({dict(self.terms())!r})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts = []
-        for e, c in self._terms:
+        for e, c in self.terms():
             if e == 0:
                 parts.append(str(c))
                 continue
@@ -322,8 +277,4 @@ class LaurentPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self) -> dict[str, int]:
-        return {str(e): c for e, c in self._terms}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, int]) -> LaurentPoly:
-        return cls((int(e), c) for e, c in data.items())
+        return {str(e): c for e, c in self.terms()}

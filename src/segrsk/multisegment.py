@@ -216,7 +216,15 @@ class Multisegment:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> Multisegment:
-        return cls(Segment(*pair) for pair in data)
+        """Inverse of to_json(); malformed pairs raise ParseError."""
+        try:
+            pairs = [(b, e) for b, e in data]
+        except (TypeError, ValueError):
+            raise ParseError(f"bad multisegment JSON: {data!r}") from None
+        for b, e in pairs:
+            if type(b) is not int or type(e) is not int or b > e:
+                raise ParseError(f"bad segment entry: [{b!r}, {e!r}]")
+        return cls(Segment(b, e) for b, e in pairs)
 
 
 def point_multisegment(gamma: Weight) -> Multisegment:

@@ -158,19 +158,18 @@ class LadderSequence:
                 raise ShapeViolation(f"entry {i + 1} is not a ladder: {lad}")
 
     @classmethod
-    def rsk_shaped(cls, ladders: Sequence[Multisegment]) -> LadderSequence:
-        """Strict constructor for RSK output: no gaps, sizes weakly decreasing."""
+    def from_trace(cls, trace: PeelTrace) -> LadderSequence:
+        """The ladders a peel trace split off, in peeling order.
+
+        The RSK shape is checked: no empty ladder, sizes weakly decreasing.
+        """
+        ladders = tuple(ladder for ladder, _ in trace)
         sizes = [len(lad) for lad in ladders]
         if any(s == 0 for s in sizes):
             raise ShapeViolation("RSK output contains an empty ladder")
         if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
             raise ShapeViolation(f"ladder sizes not weakly decreasing: {sizes}")
-        return cls(tuple(ladders))
-
-    @classmethod
-    def from_trace(cls, trace: PeelTrace) -> LadderSequence:
-        """The RSK-shaped sequence of the ladders a peel trace split off."""
-        return cls.rsk_shaped([ladder for ladder, _ in trace])
+        return cls(ladders)
 
     def __len__(self) -> int:
         return len(self.ladders)

@@ -219,7 +219,11 @@ def gamma_descriptor(m: Multisegment, derived: bool = False) -> GammaDescriptor:
     return GammaDescriptor(ladders_of(pq), a_invariant(shape) - c_count(pq))
 
 
-@lru_cache(maxsize=None)
+# distinct shapes a bounded enumeration revisits; sizes up to 8 have 67
+FILLINGS_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=FILLINGS_CACHE_SIZE)
 def _standard_fillings(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     n = sum(parts)
     results: list[tuple[tuple[int, ...], ...]] = []

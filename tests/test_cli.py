@@ -8,6 +8,7 @@ import pytest
 
 import segrsk
 from segrsk.cli import main
+from segrsk.errors import InvariantViolation, ShapeViolation, SizeGuardExceeded
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +202,77 @@ class TestTableauxCommand:
         assert payload["count"] == 2
         assert payload["tableaux"][0]["rows"] == [[1, 2], [3]]
         assert payload["tableaux"][0]["residues"] == [0, 1, -1]
+
+    @pytest.mark.parametrize("shape", ["5,5,5,5", "6,6,6,6,6"])
+    def test_count_above_cap_exit_2(self, capsys, monkeypatch, shape):
+        import segrsk.tableaux as tableaux_mod
+
+        def refuse(shape):
+            raise AssertionError("enumerated a shape above the cap")
+
+        monkeypatch.setattr(tableaux_mod, "standard_tableaux", refuse)
+        code, out, err = run_cli(capsys, "tableaux", "--shape", shape, "--json")
+        assert code == 2
+        assert "above the cap" in err
+        report = json.loads(out)
+        assert report["status"] == "precondition_error"
+        assert "above the cap" in report["diagnostics"][0]
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        import segrsk.cli as cli_mod
+
+        # shape 2,1 has exactly two standard tableaux
+        monkeypatch.setattr(cli_mod, "TABLEAUX_CAP", 2)
+        assert run_cli(capsys, "tableaux", "--shape", "2,1")[0] == 0
+        monkeypatch.setattr(cli_mod, "TABLEAUX_CAP", 1)
+        assert run_cli(capsys, "tableaux", "--shape", "2,1")[0] == 2
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize(
+        "kind, code, status",
+        [
+            (InvariantViolation, 4, "internal_error"),
+            (ShapeViolation, 4, "internal_error"),
+            (SizeGuardExceeded, 2, "precondition_error"),
+        ],
+    )
+    def test_library_exceptions(self, capsys, monkeypatch, kind, code, status):
+        import segrsk.rsk as rsk_mod
+
+        def broken(m):
+            raise kind("identity broken")
+
+        monkeypatch.setattr(rsk_mod, "rsk_transform", broken)
+        got, out, err = run_cli(capsys, "rsk", "[1,1]+[1,2]")
+        assert got == code
+        assert out == ""
+        assert "identity broken" in err
+        got, out, err = run_cli(capsys, "rsk", "[1,1]+[1,2]", "--json")
+        assert got == code
+        report = json.loads(out)
+        assert report["status"] == status
+        assert report["payload"] == {}
+        assert "identity broken" in report["diagnostics"][0]
+        assert report["diagnostics"] == err.splitlines()
+
+    def test_internal_error_prints_reproduction(self, capsys, monkeypatch):
+        import segrsk.rsk as rsk_mod
+
+        def broken(m):
+            raise InvariantViolation("identity broken")
+
+        monkeypatch.setattr(rsk_mod, "rsk_transform", broken)
+        code, _, err = run_cli(capsys, "rsk", "[1,1]+[1,2]", "--width")
+        assert code == 4
+        assert err.splitlines() == [
+            "internal error: identity broken",
+            "reproduce: segrsk rsk '[1,1]+[1,2]' --width",
+        ]
+
+    def test_input_errors_print_no_reproduction(self, capsys):
+        _, _, err = run_cli(capsys, "rsk", "[2,1]")
+        assert err.splitlines() == ["parse error: segment begin exceeds end in '[2,1]'"]
 
 
 class TestCheckCommand:

@@ -209,3 +209,160 @@ class TestLaurentPoly:
         p = LaurentPoly.q_power(2) + LaurentPoly.q_power(0, 3) + LaurentPoly.q_power(-1)
         assert str(p) == "q^2 + 3 + q^-1"
         assert str(LaurentPoly.zero()) == "0"
+
+
+# printed and JSON forms, pinned from the implementation before the three
+# sparse-map classes shared a base
+WEIGHT_GOLDENS = [
+    (Weight(), "0", "Weight({})", []),
+    (Weight({1: 1}), "a(1)", "Weight({1: 1})", [("1", 1)]),
+    (
+        Weight({-3: 2, 0: -1, 5: 1}),
+        "2*a(-3)-1*a(0)+a(5)",
+        "Weight({-3: 2, 0: -1, 5: 1})",
+        [("-3", 2), ("0", -1), ("5", 1)],
+    ),
+    (Weight([(2, -1), (2, -1)]), "-2*a(2)", "Weight({2: -2})", [("2", -2)]),
+    (Weight([(1, 1), (1, -1), (4, 3)]), "3*a(4)", "Weight({4: 3})", [("4", 3)]),
+    (
+        Weight({7: 12, -10: -1}),
+        "-1*a(-10)+12*a(7)",
+        "Weight({-10: -1, 7: 12})",
+        [("-10", -1), ("7", 12)],
+    ),
+]
+
+POLY_GOLDENS = [
+    (LaurentPoly(), "0", "LaurentPoly({})", ()),
+    (LaurentPoly.one(), "1", "LaurentPoly({0: 1})", ((0, 1),)),
+    (LaurentPoly.q_power(1), "q", "LaurentPoly({1: 1})", ((1, 1),)),
+    (LaurentPoly.q_power(-2, -1), "-q^-2", "LaurentPoly({-2: -1})", ((-2, -1),)),
+    (
+        LaurentPoly({-1: 1, 0: 3, 2: 1}),
+        "q^2 + 3 + q^-1",
+        "LaurentPoly({2: 1, 0: 3, -1: 1})",
+        ((2, 1), (0, 3), (-1, 1)),
+    ),
+    (
+        LaurentPoly([(3, -2), (1, -1), (-4, 5), (1, 1), (0, -1)]),
+        "-2*q^3 - 1 + 5*q^-4",
+        "LaurentPoly({3: -2, 0: -1, -4: 5})",
+        ((3, -2), (0, -1), (-4, 5)),
+    ),
+    (
+        LaurentPoly({-1: 1, 1: -1}) * LaurentPoly({1: 2, 0: -1}),
+        "-2*q^2 + q + 2 - q^-1",
+        "LaurentPoly({2: -2, 1: 1, 0: 2, -1: -1})",
+        ((2, -2), (1, 1), (0, 2), (-1, -1)),
+    ),
+]
+
+DOMINANT_GOLDENS = [
+    (DominantWeight(), "DominantWeight({})"),
+    (DominantWeight.from_indices([2, 1, -1]), "DominantWeight({-1: 1, 1: 1, 2: 1})"),
+    (DominantWeight.from_indices([0, 0, 3]), "DominantWeight({0: 2, 3: 1})"),
+    (DominantWeight([(5, 2), (-4, 1), (5, -1)]), "DominantWeight({-4: 1, 5: 1})"),
+]
+
+
+class TestPinnedForms:
+    @pytest.mark.parametrize("w, text, rep, js", WEIGHT_GOLDENS)
+    def test_weight(self, w, text, rep, js):
+        assert str(w) == text
+        assert repr(w) == rep
+        assert list(w.to_json().items()) == js
+        assert Weight.parse(text) == w
+        assert Weight.from_json(w.to_json()) == w
+
+    @pytest.mark.parametrize("p, text, rep, terms", POLY_GOLDENS)
+    def test_laurent_poly(self, p, text, rep, terms):
+        assert str(p) == text
+        assert repr(p) == rep
+        assert p.terms() == terms
+        assert list(p.to_json().items()) == [(str(e), c) for e, c in terms]
+        assert LaurentPoly.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("lam, rep", DOMINANT_GOLDENS)
+    def test_dominant_weight(self, lam, rep):
+        assert str(lam) == rep
+        assert repr(lam) == rep
+
+
+class TestSharedBase:
+    def test_classes_never_equal(self):
+        maps = [Weight({1: 1}), LaurentPoly({1: 1}), DominantWeight({1: 1})]
+        for i, x in enumerate(maps):
+            for j, y in enumerate(maps):
+                assert (x == y) == (i == j)
+
+    def test_classes_never_mix(self):
+        maps = [Weight({1: 1}), LaurentPoly({1: 1}), DominantWeight({1: 1})]
+        for x in maps:
+            for y in maps:
+                if x is not y:
+                    with pytest.raises(TypeError):
+                        x + y
+                    with pytest.raises(TypeError):
+                        x - y
+
+    def test_dominant_accepts_cancelled_negative(self):
+        lam = DominantWeight([(0, -1), (0, 1)])
+        assert lam == DominantWeight()
+        assert lam.level() == 0
+
+    def test_dominant_rejects_negative_sum(self):
+        with pytest.raises(ValueError):
+            DominantWeight([(0, -1)])
+
+    def test_dominant_arithmetic_keeps_non_negative(self):
+        lam = DominantWeight.from_indices([0, 1])
+        assert lam + lam == DominantWeight({0: 2, 1: 2})
+        with pytest.raises(ValueError):
+            lam - DominantWeight.from_indices([0, 0])
+        with pytest.raises(ValueError):
+            -1 * lam
+
+
+# exponents [-_SPAN, _SPAN] of the dense reference; products and shifts of
+# the strategy's polynomials stay inside
+_SPAN = 20
+small_polys = st.lists(
+    st.tuples(st.integers(-5, 5), st.integers(-9, 9)), max_size=6
+).map(LaurentPoly)
+
+
+def _dense(p: LaurentPoly) -> list[int]:
+    out = [0] * (2 * _SPAN + 1)
+    for e, c in p.terms():
+        out[e + _SPAN] = c
+    return out
+
+
+class TestLaurentPolyAgainstDense:
+    @given(small_polys, small_polys, st.integers(-4, 4), st.integers(-3, 3))
+    def test_ring_operations(self, p, q, k, scalar):
+        dp, dq = _dense(p), _dense(q)
+        size = len(dp)
+        assert _dense(p + q) == [a + b for a, b in zip(dp, dq)]
+        assert _dense(p - q) == [a - b for a, b in zip(dp, dq)]
+        assert _dense(-p) == [-a for a in dp]
+        assert _dense(scalar * p) == [scalar * a for a in dp]
+        assert _dense(p * scalar) == [scalar * a for a in dp]
+        product = [0] * size
+        for i, a in enumerate(dp):
+            for j, b in enumerate(dq):
+                if a and b:
+                    product[i + j - _SPAN] += a * b
+        assert _dense(p * q) == product
+        shifted = [0] * size
+        for i, a in enumerate(dp):
+            if a:
+                shifted[i + k] = a
+        assert _dense(p.shift(k)) == shifted
+        for e in range(-_SPAN, _SPAN + 1):
+            assert p.coeff(e) == dp[e + _SPAN]
+        exps = [e for e, _ in p.terms()]
+        assert exps == sorted(exps, reverse=True)
+        assert all(c != 0 for _, c in p.terms())
+        assert p.eval_at_one() == sum(dp)
+        assert p.is_nonnegative() == all(a >= 0 for a in dp)

@@ -186,6 +186,18 @@ class TestTextFormat:
         assert Multisegment.parse(str(m)) == m
         assert Multisegment.from_json(m.to_json()) == m
 
+    @pytest.mark.parametrize(
+        "data",
+        [[[2, 1]], [[1]], [[1, 2, 3]], [1], [[1.0, 2]], [["1", 2]], [[1, 2], [3, 0]], 5],
+    )
+    def test_from_json_errors(self, data):
+        with pytest.raises(ParseError):
+            Multisegment.from_json(data)
+
+    def test_from_json(self):
+        assert Multisegment.from_json([]) == Multisegment.empty()
+        assert Multisegment.from_json([[2, 3], [1, 1]]) == Multisegment.of((1, 1), (2, 3))
+
 
 class TestDifference:
     def test_difference(self):

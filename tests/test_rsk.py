@@ -168,11 +168,13 @@ class TestLadderSequence:
         with pytest.raises(ShapeViolation):
             LadderSequence((M((1, 1), (1, 1)),))
 
-    def test_rsk_shaped_rejects_growing_sizes(self):
+    def test_from_trace_rejects_growing_sizes(self):
+        # hand-built traces: only the ladders of each step are read
+        rest = Multisegment.empty()
         with pytest.raises(ShapeViolation):
-            LadderSequence.rsk_shaped([M((1, 1)), M((0, 1), (1, 2))])
+            LadderSequence.from_trace(((M((1, 1)), rest), (M((0, 1), (1, 2)), rest)))
         with pytest.raises(ShapeViolation):
-            LadderSequence.rsk_shaped([Multisegment.empty()])
+            LadderSequence.from_trace(((Multisegment.empty(), rest),))
 
     def test_gaps_allowed_in_plain_sequence(self):
         seq = LadderSequence((Multisegment.empty(), M((1, 1))))

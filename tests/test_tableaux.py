@@ -197,6 +197,13 @@ class TestStandardTableaux:
         fillings = standard_tableaux(Partition.of(2, 1))
         assert fillings == (((1, 2), (3,)), ((1, 3), (2,)))
 
+    def test_cache_bounded(self):
+        from segrsk import tableaux
+
+        info = tableaux._standard_fillings.cache_info()
+        assert info.maxsize == tableaux.FILLINGS_CACHE_SIZE
+        assert info.currsize <= tableaux.FILLINGS_CACHE_SIZE
+
     @given(partitions)
     def test_fillings_are_standard(self, mu):
         for filling in standard_tableaux(mu):
