@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Iterator
+import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -32,10 +33,16 @@ class SuiteResult:
     cases: int = 0
     failures: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    # wall time of the suite, set by run_suite
+    elapsed_s: float = 0.0
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def cases_per_s(self) -> float:
+        return self.cases / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
 
 def bounded_instances(
@@ -142,12 +149,23 @@ def suite_rsk(
     instances, exhaustive_size = bounded_instances(bounds, seed, sample)
     result.notes.append(f"exhaustive through size {exhaustive_size}")
     peel_images: dict[tuple[Multisegment, Multisegment], Multisegment] = {}
+    # a rest has fewer segments than the multisegment it comes from, so
+    # within the exhaustive sizes every rest is an earlier instance: each
+    # multisegment is peeled, measured and checked once.  Only multisegments
+    # below the exhaustive size can be met again, so only those are kept.
+    keep = exhaustive_size - 1
+    steps: dict[Multisegment, tuple[Multisegment, Multisegment]] = {}
+    # Dilworth width of every kept multisegment whose peel went through
+    # every per-peel check, the brute-force permissibility check included.
+    # Its rests went through them in the same pass, so a trace that reaches
+    # it is checked from there on.
+    verified: dict[Multisegment, int] = {}
     for m in instances:
         result.cases += 1
         try:
             # one peel trace serves the transform, the per-peel oracle
             # checks, injectivity of the first peel and the bitableau
-            trace = rsk.peel_trace(m)
+            trace = rsk._peel_trace(m, steps, keep)
             transform = rsk.LadderSequence.from_trace(trace)
         except (InvariantViolation, ShapeViolation) as exc:
             result.failures.append(f"RSK({m}) failed: {exc} | {repro}")
@@ -162,22 +180,29 @@ def suite_rsk(
             result.failures.append(
                 f"width({m})={len(transform)} != Dilworth {prev_width} | {repro}"
             )
+        # the brute-force oracle runs on every peel of an instance within
+        # its guard, and on none of a larger one's
+        brute = len(m) <= oracle.PERMISSIBLE_GUARD
         rest = m
         for ladder, new_rest in trace:
-            if len(m) <= oracle.PERMISSIBLE_GUARD and not oracle.brute_permissible(
-                ladder, new_rest
-            ):
+            if rest in verified:
+                break
+            if brute and not oracle.brute_permissible(ladder, new_rest):
                 result.failures.append(
                     f"peel of {rest} not permissible per oracle | {repro}"
                 )
+            w = 0
             if new_rest:
-                w = oracle.dilworth_width(new_rest)
+                w = verified.get(new_rest)
+                if w is None:
+                    w = oracle.dilworth_width(new_rest)
                 if w != prev_width - 1:
                     result.failures.append(
                         f"width drop {prev_width}->{w} peeling {rest} | {repro}"
                     )
-                prev_width = w
-            rest = new_rest
+            if brute and len(rest) <= keep:
+                verified[rest] = prev_width
+            rest, prev_width = new_rest, w
         first_peel = trace[0]
         if first_peel in peel_images and peel_images[first_peel] != m:
             result.failures.append(
@@ -227,6 +252,10 @@ def suite_strings(
     t = max(abs(bounds.support_min), abs(bounds.support_max))
     instances, exhaustive_size = bounded_instances(bounds, seed, sample)
     result.notes.append(f"exhaustive through size {exhaustive_size}")
+    # first peels shared by the RSKs of the instances and of their extensions,
+    # kept below the exhaustive size as in suite_rsk
+    keep = exhaustive_size - 1
+    steps: dict[Multisegment, tuple[Multisegment, Multisegment]] = {}
     empties_logged = 0
     for m in instances:
         result.cases += 1
@@ -238,24 +267,28 @@ def suite_strings(
             continue
         if d1 != m.derived() or d2 != m.derived():
             result.failures.append(f"BZ derivative of {m} is T-dependent | {repro}")
-        if m.extended().derived() != m:
-            result.failures.append(f"derive(extend({m})) != input | {repro}")
         ext = m.extended()
-        derived_entries = [lad.derived() for lad in rsk.rsk_transform(ext)]
+        if ext.derived() != m:
+            result.failures.append(f"derive(extend({m})) != input | {repro}")
+        ext_rsk = rsk.LadderSequence.from_trace(rsk._peel_trace(ext, steps, keep))
+        derived_entries = [lad.derived() for lad in ext_rsk]
         empties_logged += sum(1 for lad in derived_entries if not lad)
         nonempty = [lad for lad in derived_entries if lad]
-        if nonempty != list(rsk.rsk_transform(m)):
+        m_rsk = rsk.LadderSequence.from_trace(rsk._peel_trace(m, steps, keep))
+        if nonempty != list(m_rsk):
             result.failures.append(
                 f"RSK(extend({m})) truncated entrywise != RSK({m}) | {repro}"
             )
     rng = random.Random(seed)
     nonempty_domain = instances or [Multisegment()]
+    # each instance's BZ vector, computed once
+    bz_vector = lru_cache(maxsize=None)(lambda x: strings.bz_string(x, t)[1])
     for _ in range(min(sample, 2000)):
         m1 = rng.choice(nonempty_domain)
         m2 = rng.choice(nonempty_domain)
         result.cases += 1
-        _, a1 = strings.bz_string(m1, t)
-        _, a2 = strings.bz_string(m2, t)
+        a1 = bz_vector(m1)
+        a2 = bz_vector(m2)
         _, a12 = strings.bz_string(m1 + m2, t)
         if tuple(x + y for x, y in zip(a1, a2)) != a12:
             result.failures.append(f"BZ string not additive on {m1}, {m2} | {repro}")
@@ -263,7 +296,12 @@ def suite_strings(
     return result
 
 
-@lru_cache(maxsize=None)
+# partition sizes whose lists partitions_of keeps; the suites ask for sizes
+# up to their size cap (8 in the acceptance run)
+PARTITIONS_CACHE_SIZE = 24
+
+
+@lru_cache(maxsize=PARTITIONS_CACHE_SIZE)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, reverse-lexicographic."""
     if n == 0:
@@ -380,17 +418,24 @@ def run_suite(
     if sample < 0:
         raise PreconditionError(f"sample size must be non-negative, got {sample}")
     results: list[SuiteResult] = []
+
+    def timed(suite: Callable[[], SuiteResult]) -> None:
+        start = time.perf_counter()
+        result = suite()
+        result.elapsed_s = time.perf_counter() - start
+        results.append(result)
+
     if name in ("combi", "all"):
-        results.append(suite_combi(bounds, seed, sample))
+        timed(lambda: suite_combi(bounds, seed, sample))
     if name in ("rsk", "all"):
-        results.append(suite_rsk(bounds, seed, sample))
-        results.append(suite_kv(bounds, seed))
-        results.append(suite_tableaux())
+        timed(lambda: suite_rsk(bounds, seed, sample))
+        timed(lambda: suite_kv(bounds, seed))
+        timed(suite_tableaux)
     if name in ("strings", "all"):
-        results.append(suite_strings(bounds, seed, sample))
+        timed(lambda: suite_strings(bounds, seed, sample))
     if name in ("specht", "all"):
-        results.append(
-            suite_specht(
+        timed(
+            lambda: suite_specht(
                 bounds.support_min,
                 bounds.support_max,
                 max_level,

@@ -41,6 +41,14 @@ EXIT_CODES = {
 
 # most standard tableaux `tableaux --shape` lists; counted before enumerating
 TABLEAUX_CAP = 100_000
+# most cells `tableaux --shape` accepts; checked before the count, whose
+# factorial grows with the size (100,000 cells take over a second)
+TABLEAUX_MAX_CELLS = 2_000
+# most cells `tableaux --shape` lists over all its tableaux (count times
+# cells), checked with the count: the output grows with the product, which
+# the two caps above bound only factor by factor (shape 1999,1 passes both
+# and prints 132 MB)
+TABLEAUX_MAX_OUTPUT_CELLS = 1_000_000
 
 
 @dataclass
@@ -182,10 +190,19 @@ def _cmd_tableaux(args: argparse.Namespace) -> int:
     report = CommandReport()
     lines: list[str] = []
     shape = Partition.parse(args.shape)
+    if shape.size() > TABLEAUX_MAX_CELLS:
+        raise PreconditionError(
+            f"shape has {shape.size()} cells, above the cap {TABLEAUX_MAX_CELLS}"
+        )
     count = oracle.hook_length_count(shape)
     if count > TABLEAUX_CAP:
         raise PreconditionError(
             f"shape {shape} has {count} standard tableaux, above the cap {TABLEAUX_CAP}"
+        )
+    if count * shape.size() > TABLEAUX_MAX_OUTPUT_CELLS:
+        raise PreconditionError(
+            f"shape {shape} lists {count * shape.size()} cells in its tableaux, "
+            f"above the cap {TABLEAUX_MAX_OUTPUT_CELLS}"
         )
     fillings = tableaux.standard_tableaux(shape)
     entries = []
@@ -221,6 +238,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "cases": res.cases,
             "failures": res.failures,
             "notes": res.notes,
+            "elapsed_s": res.elapsed_s,
+            "cases_per_s": res.cases_per_s,
         }
     if failed:
         report.status = "check_failure"

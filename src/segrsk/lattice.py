@@ -121,7 +121,18 @@ class _SparseMap:
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> _SparseMap:
-        return cls((int(i), c) for i, c in data.items())
+        """Inverse of to_json(); anything but integer keys and values raises ParseError."""
+        try:
+            items = [(int(i), c) for i, c in data.items()]
+        except (AttributeError, TypeError, ValueError):
+            raise ParseError(f"bad {cls.__name__} JSON: {data!r}") from None
+        for i, c in items:
+            if type(c) is not int:
+                raise ParseError(f"bad {cls.__name__} coefficient at {i}: {c!r}")
+        try:
+            return cls(items)
+        except ValueError as exc:  # a subclass's own check, such as non-negativity
+            raise ParseError(str(exc)) from None
 
 
 class Weight(_SparseMap):

@@ -75,12 +75,16 @@ _RLEX = attrgetter("e", "b")
 class Multisegment:
     """Finite multiset of segments in canonical right-lexicographic order."""
 
-    __slots__ = ("_segs", "_wt", "_bw")
+    # the weights, the hash and is_ladder() are computed on first use and
+    # kept, since the segments never change
+    __slots__ = ("_segs", "_wt", "_bw", "_hash", "_ladder")
 
     def __init__(self, segments: Iterable[Segment] = ()):
         self._segs = tuple(sorted(segments, key=_RLEX))
         self._wt: Weight | None = None
         self._bw: Weight | None = None
+        self._hash: int | None = None
+        self._ladder: bool | None = None
 
     @classmethod
     def _of_sorted(cls, segs: tuple[Segment, ...]) -> Multisegment:
@@ -89,6 +93,8 @@ class Multisegment:
         m._segs = segs
         m._wt = None
         m._bw = None
+        m._hash = None
+        m._ladder = None
         return m
 
     @classmethod
@@ -146,7 +152,9 @@ class Multisegment:
         return isinstance(other, Multisegment) and self._segs == other._segs
 
     def __hash__(self) -> int:
-        return hash(self._segs)
+        if self._hash is None:
+            self._hash = hash(self._segs)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Multisegment.parse({str(self)!r})"
@@ -197,11 +205,12 @@ class Multisegment:
 
     def is_ladder(self) -> bool:
         """True iff nonempty and the segments form a chain under ll."""
-        if not self._segs:
-            return False
-        return all(
-            self._segs[i].ll(self._segs[i + 1]) for i in range(len(self._segs) - 1)
-        )
+        if self._ladder is None:
+            segs = self._segs
+            self._ladder = bool(segs) and all(
+                segs[i].ll(segs[i + 1]) for i in range(len(segs) - 1)
+            )
+        return self._ladder
 
     def difference(self, other: Multisegment) -> Multisegment:
         """Multiset difference; raises if other is not contained in self."""

@@ -3,7 +3,8 @@
 Everything here recomputes a main-path result by exhaustion: Dilworth width
 via bipartite matching, permissibility by trying every chain against every
 injective increasing assignment, depths and one peel by scanning every pair
-of Segment objects, tableau counts by hook lengths, and peeling determinism
+of Segment objects, the string form by a double loop over positions, tableau
+counts by hook lengths, and peeling determinism
 by re-running every admissible depth-class enumeration.  Oracles refuse
 oversized instances instead of sampling.
 """
@@ -163,6 +164,30 @@ def brute_permissible(ladder: Multisegment, m: Multisegment) -> bool:
             if not found:
                 return False
     return True
+
+
+def reference_string_form(idx: Sequence[int], a1: Sequence[int], a2: Sequence[int]) -> int:
+    """The string form by its definition, one pair of positions at a time.
+
+    The reference for strings.string_form: a1[r] * a2[u] weighted 1 for
+    u = r, the Cartan pairing of idx[r] and idx[u] (2, -1 or 0) for u < r,
+    and 0 for u > r.  Quadratic in the length.
+    """
+    total = 0
+    for r, x in enumerate(a1):
+        if x == 0:
+            continue
+        total += x * a2[r]
+        for u in range(r):
+            y = a2[u]
+            if y == 0:
+                continue
+            gap = abs(idx[r] - idx[u])
+            if gap == 0:
+                total += 2 * x * y
+            elif gap == 1:
+                total -= x * y
+    return total
 
 
 def hook_length_count(mu: Partition) -> int:

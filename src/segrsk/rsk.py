@@ -217,12 +217,33 @@ def peel_trace(m: Multisegment) -> PeelTrace:
     the first entry is knuth_viennot(m).  The empty multisegment has the
     empty trace.
     """
-    steps = []
+    return _peel_trace(m, {}, 0)
+
+
+def _peel_trace(
+    m: Multisegment,
+    steps: dict[Multisegment, tuple[Multisegment, Multisegment]],
+    keep: int,
+) -> PeelTrace:
+    """peel_trace(m), peeling only the rests that steps does not hold.
+
+    The trace of m is its first peel followed by the trace of that peel's
+    rest, so a caller that peels many multisegments keeps the first peel of
+    each in steps and looks the rests up there.  Only multisegments of at
+    most keep segments are stored; a peel that is computed goes through
+    knuth_viennot, with all of its postconditions.
+    """
+    trace = []
     rest = m
     while rest:
-        ladder, rest = knuth_viennot(rest)
-        steps.append((ladder, rest))
-    return tuple(steps)
+        step = steps.get(rest)
+        if step is None:
+            step = knuth_viennot(rest)
+            if len(rest) <= keep:
+                steps[rest] = step
+        trace.append(step)
+        rest = step[1]
+    return tuple(trace)
 
 
 def rsk_transform(m: Multisegment) -> LadderSequence:

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvariantViolation, PreconditionError
+from .errors import InvariantViolation, ParseError, PreconditionError
 from .lattice import LaurentPoly, Weight, cartan_form, ell_form
 from .multisegment import Multisegment
 
@@ -75,21 +75,24 @@ def string_form(i: AdmissibleSequence, a1: Sequence[int], a2: Sequence[int]) -> 
     """Non-symmetric form on exponent vectors over the sequence i."""
     _check_length(i, a1)
     _check_length(i, a2)
-    idx = i.indices
+    return _string_form(i.indices, a1, a2)
+
+
+def _string_form(idx: Sequence[int], a1: Sequence[int], a2: Sequence[int]) -> int:
+    """string_form on vectors already checked against the indices idx.
+
+    Position r pairs a1[r] with a2[r] and with the Cartan pairing of every
+    earlier a2[u]; a running sum of a2 per index gives that pairing in one
+    pass.
+    """
     total = 0
-    for r, x in enumerate(a1):
-        if x == 0:
-            continue
-        total += x * a2[r]
-        for u in range(r):
-            y = a2[u]
-            if y == 0:
-                continue
-            gap = abs(idx[r] - idx[u])
-            if gap == 0:
-                total += 2 * x * y
-            elif gap == 1:
-                total -= x * y
+    below: dict[int, int] = {}
+    get = below.get
+    for j, x, y in zip(idx, a1, a2):
+        if x:
+            total += x * (y + 2 * get(j, 0) - get(j - 1, 0) - get(j + 1, 0))
+        if y:
+            below[j] = get(j, 0) + y
     return total
 
 
@@ -101,14 +104,16 @@ def phi_weights(
     """Grading shift sum over j < k of (a_j,a_k)_i - (beta_k, beta(i,a_j))."""
     if len(avecs) != len(betas):
         raise PreconditionError("one weight per exponent vector is required")
+    # beta_of checks every vector against i, once
     bvs = [beta_of(i, a) for a in avecs]
     for bv, beta in zip(bvs, betas):
         if not bv.leq(beta):
             raise PreconditionError(f"beta(i,a) = {bv} exceeds its weight {beta}")
+    idx = i.indices
     total = 0
     for j in range(len(avecs)):
         for k in range(j + 1, len(avecs)):
-            total += string_form(i, avecs[j], avecs[k]) - cartan_form(betas[k], bvs[j])
+            total += _string_form(idx, avecs[j], avecs[k]) - cartan_form(betas[k], bvs[j])
     return total
 
 
@@ -166,9 +171,15 @@ def bz_string(m: Multisegment, t: int) -> tuple[AdmissibleSequence, StringVector
 
 def single_derivative(m: Multisegment, j: int) -> Multisegment:
     """Truncate every segment beginning at j, provided none begins at j+1."""
+    begins_at_j = False
     for s in m.segments:
         if s.b == j + 1:
             raise PreconditionError(f"segment {s} of {m} begins at {j + 1}")
+        if s.b == j:
+            begins_at_j = True
+    if not begins_at_j:
+        # nothing to truncate, and multisegments are immutable
+        return m
     out = []
     for s in m.segments:
         if s.b == j:
@@ -242,10 +253,20 @@ class MultiplicityTable:
 
     @classmethod
     def from_json(cls, data: Iterable[Mapping]) -> MultiplicityTable:
-        return cls(
-            (Multisegment.parse(row["key"]), LaurentPoly.from_json(row["poly"]))
-            for row in data
-        )
+        """Inverse of to_json(); malformed rows or keys raise ParseError."""
+        try:
+            rows = [(row["key"], row["poly"]) for row in data]
+        except (KeyError, TypeError):
+            raise ParseError(f"bad multiplicity table JSON: {data!r}") from None
+        for key, _ in rows:
+            if type(key) is not str:
+                raise ParseError(f"bad multiplicity table key: {key!r}")
+        try:
+            return cls(
+                (Multisegment.parse(key), LaurentPoly.from_json(poly)) for key, poly in rows
+            )
+        except ValueError as exc:  # also duplicate keys, mixed weights, negative entries
+            raise ParseError(str(exc)) from None
 
 
 def transfer_multiplicities(

@@ -225,26 +225,39 @@ FILLINGS_CACHE_SIZE = 256
 
 @lru_cache(maxsize=FILLINGS_CACHE_SIZE)
 def _standard_fillings(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # depth-first over the values 1..n with an explicit stack, so the depth
+    # is not bounded by the recursion limit: tried[v - 1] is the row value v
+    # sits in, or the next row to try once v has been taken out again
     n = sum(parts)
+    if n == 0:
+        return ((),)
     results: list[tuple[tuple[int, ...], ...]] = []
     rows: list[list[int]] = [[] for _ in parts]
-
-    def place(value: int) -> None:
-        if value > n:
+    tried = [0]
+    while tried:
+        value = len(tried)
+        i = tried[-1]
+        # cell (i+1, j+1) is addable when the row has room and the cell
+        # above is filled
+        while i < len(parts) and not (
+            len(rows[i]) < parts[i] and (i == 0 or len(rows[i - 1]) > len(rows[i]))
+        ):
+            i += 1
+        if i == len(parts):
+            # no row takes this value: take the previous value out again
+            tried.pop()
+            if tried:
+                rows[tried[-1]].pop()
+                tried[-1] += 1
+            continue
+        rows[i].append(value)
+        tried[-1] = i
+        if value == n:
             results.append(tuple(tuple(r) for r in rows))
-            return
-        for i, row in enumerate(rows):
-            if len(row) >= parts[i]:
-                continue
-            j = len(row)
-            # cell (i+1, j+1) is addable when the cell above is filled
-            if i > 0 and len(rows[i - 1]) <= j:
-                continue
-            row.append(value)
-            place(value + 1)
-            row.pop()
-
-    place(1)
+            rows[i].pop()
+            tried[-1] += 1
+        else:
+            tried.append(0)
     results.sort(key=lambda t: tuple(v for row in t for v in row))
     return tuple(results)
 

@@ -227,6 +227,60 @@ class TestTableauxCommand:
         monkeypatch.setattr(cli_mod, "TABLEAUX_CAP", 1)
         assert run_cli(capsys, "tableaux", "--shape", "2,1")[0] == 2
 
+    def test_cell_cap_is_inclusive(self, capsys, monkeypatch):
+        import segrsk.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "TABLEAUX_MAX_CELLS", 3)
+        assert run_cli(capsys, "tableaux", "--shape", "2,1")[0] == 0
+        monkeypatch.setattr(cli_mod, "TABLEAUX_MAX_CELLS", 2)
+        assert run_cli(capsys, "tableaux", "--shape", "2,1")[0] == 2
+
+    def test_output_cell_cap_is_inclusive(self, capsys, monkeypatch):
+        import segrsk.cli as cli_mod
+
+        # shape 2,1 lists two tableaux of three cells
+        monkeypatch.setattr(cli_mod, "TABLEAUX_MAX_OUTPUT_CELLS", 6)
+        assert run_cli(capsys, "tableaux", "--shape", "2,1")[0] == 0
+        monkeypatch.setattr(cli_mod, "TABLEAUX_MAX_OUTPUT_CELLS", 5)
+        assert run_cli(capsys, "tableaux", "--shape", "2,1")[0] == 2
+
+    def test_output_cells_above_cap_exit_2_before_enumerating(self, capsys, monkeypatch):
+        import segrsk.tableaux as tableaux_mod
+
+        def refuse(shape):
+            raise AssertionError("enumerated a shape above the output cap")
+
+        monkeypatch.setattr(tableaux_mod, "standard_tableaux", refuse)
+        # 1,999 tableaux of 2,000 cells: under the cell cap and the count cap
+        code, out, err = run_cli(capsys, "tableaux", "--shape", "1999,1", "--json")
+        assert code == 2
+        assert "lists 3998000 cells in its tableaux, above the cap 1000000" in err
+        report = json.loads(out)
+        assert report["status"] == "precondition_error"
+        assert report["diagnostics"] == err.splitlines()
+
+    def test_long_shape_lists_its_one_tableau(self, capsys):
+        code, out, _ = run_cli(capsys, "tableaux", "--shape", "1200", "--json")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["count"] == 1
+        assert payload["tableaux"][0]["rows"] == [list(range(1, 1201))]
+
+    @pytest.mark.parametrize("shape", ["100000", "2001", "1000,1000,1"])
+    def test_cells_above_cap_exit_2_before_counting(self, capsys, monkeypatch, shape):
+        import segrsk.oracle as oracle_mod
+
+        def refuse(shape):
+            raise AssertionError("counted a shape above the cell cap")
+
+        monkeypatch.setattr(oracle_mod, "hook_length_count", refuse)
+        code, out, err = run_cli(capsys, "tableaux", "--shape", shape, "--json")
+        assert code == 2
+        assert "cells, above the cap 2000" in err
+        report = json.loads(out)
+        assert report["status"] == "precondition_error"
+        assert report["diagnostics"] == err.splitlines()
+
 
 class TestExitCodeTable:
     @pytest.mark.parametrize(
@@ -296,6 +350,22 @@ class TestCheckCommand:
         )
         assert code == 0
         assert "combi: pass" in out
+
+    def test_json_reports_time_per_suite(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--suite", "rsk", "--max-segments", "2", "--json")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert set(payload) == {"rsk", "kv", "tableaux"}
+        for suite in payload.values():
+            assert set(suite) == {"cases", "failures", "notes", "elapsed_s", "cases_per_s"}
+            assert suite["elapsed_s"] > 0
+            assert suite["cases_per_s"] == pytest.approx(suite["cases"] / suite["elapsed_s"])
+        assert payload["rsk"]["notes"] == ["exhaustive through size 2"]
+
+    def test_text_output_carries_no_timing(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--suite", "rsk", "--max-segments", "1")
+        assert code == 0
+        assert "elapsed" not in out and "cases_per_s" not in out
 
     @pytest.mark.parametrize(
         "bounds",

@@ -338,6 +338,36 @@ def _dense(p: LaurentPoly) -> list[int]:
     return out
 
 
+class TestFromJsonErrors:
+    """Malformed JSON raises ParseError from every sparse-map class."""
+
+    @pytest.mark.parametrize(
+        "cls, data",
+        [
+            (Weight, {"x": 1}),
+            (LaurentPoly, {"1": "a"}),
+            (LaurentPoly, [1]),
+            (Weight, {"1": 1.5}),
+            (Weight, {"1": True}),
+            (Weight, {"1.5": 1}),
+            (Weight, {"1": None}),
+            (Weight, None),
+            (LaurentPoly, "1"),
+            (DominantWeight, {"0": -1}),
+            (DominantWeight, {"a": 1}),
+        ],
+    )
+    def test_malformed(self, cls, data):
+        with pytest.raises(ParseError):
+            cls.from_json(data)
+
+    def test_well_formed(self):
+        assert Weight.from_json({"1": 2, "-3": 1}) == Weight({1: 2, -3: 1})
+        assert LaurentPoly.from_json({"2": 1, "0": -1}) == LaurentPoly({2: 1, 0: -1})
+        assert DominantWeight.from_json({"0": 2}) == DominantWeight({0: 2})
+        assert Weight.from_json({}) == Weight.zero()
+
+
 class TestLaurentPolyAgainstDense:
     @given(small_polys, small_polys, st.integers(-4, 4), st.integers(-3, 3))
     def test_ring_operations(self, p, q, k, scalar):

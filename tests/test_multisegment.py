@@ -152,6 +152,29 @@ class TestLadder:
         assert not Multisegment.empty().is_ladder()
 
 
+def _fresh_ladder(m):
+    segs = m.segments
+    return bool(segs) and all(a.ll(b) for a, b in zip(segs, segs[1:]))
+
+
+class TestCachedHashAndLadder:
+    """hash and is_ladder are kept on first use; they equal a fresh computation."""
+
+    def test_match_fresh_computation(self):
+        for m in _domain_and_random_inputs():
+            for x in (m, m.derived(), m.extended(), m.shifted_right()):
+                for _ in range(2):
+                    assert hash(x) == hash(x.segments)
+                    assert x.is_ladder() == _fresh_ladder(x)
+
+    @given(multisegments, multisegments)
+    def test_equal_multisegments_hash_equal(self, m1, m2):
+        s = m1 + m2
+        t = Multisegment(reversed(s.segments))
+        hash(s)
+        assert s == t and hash(s) == hash(t)
+
+
 class TestPointMultisegment:
     def test_examples(self):
         gamma = 2 * alpha(1) + alpha(3)

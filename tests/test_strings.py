@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from segrsk.errors import PreconditionError
+from segrsk import oracle
+from segrsk.errors import ParseError, PreconditionError
 from segrsk.lattice import LaurentPoly, Weight, cartan_form
 from segrsk.multisegment import Multisegment, point_multisegment
 from segrsk.oracle import EnumerationBounds, enumerate_multisegments
@@ -80,6 +81,35 @@ class TestStringForm:
         assert string_form(i, a1, a2) + string_form(i, a2, a1) == cartan_form(
             beta_of(i, a1), beta_of(i, a2)
         )
+
+
+# admissible sequences that revisit indices: each step moves by 1 or 2
+revisiting = st.integers(1, 9).flatmap(
+    lambda t: st.tuples(
+        st.integers(-2, 2),
+        st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=t - 1, max_size=t - 1),
+        st.lists(st.integers(0, 3), min_size=t, max_size=t).map(tuple),
+        st.lists(st.integers(0, 3), min_size=t, max_size=t).map(tuple),
+    )
+)
+
+
+class TestStringFormAgainstReference:
+    @given(revisiting)
+    def test_matches_double_loop(self, data):
+        start, steps, a1, a2 = data
+        idx = [start]
+        for step in steps:
+            idx.append(idx[-1] + step)
+        i = AdmissibleSequence(tuple(idx))
+        assert string_form(i, a1, a2) == oracle.reference_string_form(i.indices, a1, a2)
+
+    def test_checks_stay_at_the_public_entry(self):
+        i = AdmissibleSequence((1, 0, 1))
+        with pytest.raises(PreconditionError):
+            string_form(i, (1, 0), (1, 0, 0))
+        with pytest.raises(PreconditionError):
+            string_form(i, (1, 0, 0), (0, -1, 0))
 
 
 class TestPhiWeights:
@@ -166,6 +196,17 @@ class TestSingleDerivative:
         with pytest.raises(PreconditionError, match=r"\[2,3\]"):
             single_derivative(M((1, 3), (2, 3)), 1)
 
+    def test_matches_truncation_and_keeps_untouched_inputs(self):
+        for m in enumerate_multisegments(EnumerationBounds(-2, 2, 3)):
+            for j in range(-3, 3):
+                if any(s.b == j + 1 for s in m):
+                    continue
+                truncated = [s.derived() if s.b == j else s for s in m]
+                out = single_derivative(m, j)
+                assert out == Multisegment(s for s in truncated if s is not None)
+                if all(s.b != j for s in m):
+                    assert out is m
+
 
 class TestBzDerivative:
     def test_examples(self):
@@ -203,6 +244,26 @@ class TestMultiplicityTable:
             }
         )
         assert MultiplicityTable.from_json(table.to_json()) == table
+
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            5,
+            [5],
+            [{"key": "[1,1]"}],
+            [{"poly": {"0": 1}}],
+            [{"key": 3, "poly": {"0": 1}}],
+            [{"key": "[2,1]", "poly": {"0": 1}}],
+            [{"key": "[1,1]", "poly": {"0": "a"}}],
+            [{"key": "[1,1]", "poly": {"0": -1}}],
+            [{"key": "[1,1]", "poly": {"0": 1}}, {"key": "[1,1]", "poly": {"0": 1}}],
+            [{"key": "[1,1]", "poly": {"0": 1}}, {"key": "[2,2]", "poly": {"0": 1}}],
+        ],
+    )
+    def test_from_json_errors(self, data):
+        with pytest.raises(ParseError):
+            MultiplicityTable.from_json(data)
 
 
 class TestTransfer:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -203,6 +205,31 @@ class TestStandardTableaux:
         info = tableaux._standard_fillings.cache_info()
         assert info.maxsize == tableaux.FILLINGS_CACHE_SIZE
         assert info.currsize <= tableaux.FILLINGS_CACHE_SIZE
+
+    def test_matches_brute_force_in_order(self):
+        # every standard filling of shapes up to 7 cells, row-major
+        # permutations filtered and sorted
+        for n in range(8):
+            for mu in partitions_of(n):
+                brute = []
+                for perm in itertools.permutations(range(1, n + 1)):
+                    rows, k = [], 0
+                    for p in mu.parts:
+                        rows.append(perm[k : k + p])
+                        k += p
+                    if all(list(r) == sorted(r) for r in rows) and all(
+                        rows[i - 1][j] < rows[i][j]
+                        for i in range(1, len(rows))
+                        for j in range(len(rows[i]))
+                    ):
+                        brute.append(tuple(rows))
+                assert standard_tableaux(mu) == tuple(sorted(brute, key=lambda t: sum(t, ()))), str(mu)
+
+    @pytest.mark.parametrize("shape", [(1200,), (1,) * 1200, (600, 1)])
+    def test_deep_shapes_need_no_recursion(self, shape):
+        fillings = standard_tableaux(Partition(shape))
+        assert len(fillings) == oracle.hook_length_count(Partition(shape))
+        assert sorted(v for row in fillings[0] for v in row) == list(range(1, sum(shape) + 1))
 
     @given(partitions)
     def test_fillings_are_standard(self, mu):
