@@ -3,10 +3,10 @@
 Everything here recomputes a main-path result by exhaustion: Dilworth width
 via bipartite matching, permissibility by trying every chain against every
 injective increasing assignment, depths and one peel by scanning every pair
-of Segment objects, the string form by a double loop over positions, tableau
-counts by hook lengths, and peeling determinism
-by re-running every admissible depth-class enumeration.  Oracles refuse
-oversized instances instead of sampling.
+of Segment objects, the string form by a double loop over positions, the BZ
+derivative by a step at every index, tableau counts by hook lengths, and
+peeling determinism by re-running every admissible depth-class enumeration.
+Oracles refuse oversized instances instead of sampling.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from math import comb, factorial
 from .errors import PreconditionError, SizeGuardExceeded
 from .multisegment import Multisegment, Segment
 from .rsk import _depth_classes, _kv_from_classes, _pairs
+from .strings import single_derivative
 from .tableaux import Partition
 
 PERMISSIBLE_GUARD = 8
@@ -188,6 +189,14 @@ def reference_string_form(idx: Sequence[int], a1: Sequence[int], a2: Sequence[in
             elif gap == 1:
                 total -= x * y
     return total
+
+
+def reference_bz_derivative(m: Multisegment, t: int) -> Multisegment:
+    """The full (t..-t) sweep that strings.bz_derivative shortcuts, unchecked."""
+    out = m
+    for j in range(t, -t - 1, -1):
+        out = single_derivative(out, j)
+    return out
 
 
 def hook_length_count(mu: Partition) -> int:

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvariantViolation, ParseError, PreconditionError, ShapeViolation
+from .errors import ParseError, PreconditionError, ShapeViolation
 from .lattice import Weight
 from .multisegment import Multisegment, Segment
 
@@ -212,10 +212,8 @@ def gamma_descriptor(m: Multisegment, derived: bool = False) -> GammaDescriptor:
     pq = bitableau_of(m)
     shape = pq.shape()
     if derived:
+        # admissible: bitableau_of asserted the source pair permissible
         pq = BitableauPair(pq.p.increment(), pq.q)
-        # permissibility of the source pair makes this admissible
-        if not pq.is_admissible():
-            raise InvariantViolation(f"pair of {m} is not permissible")
     return GammaDescriptor(ladders_of(pq), a_invariant(shape) - c_count(pq))
 
 

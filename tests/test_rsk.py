@@ -5,7 +5,7 @@ import random
 import pytest
 
 from segrsk import oracle
-from segrsk.errors import PreconditionError, ShapeViolation
+from segrsk.errors import InvariantViolation, PreconditionError, ShapeViolation
 from segrsk.multisegment import Multisegment
 from segrsk.oracle import EnumerationBounds, enumerate_multisegments
 from segrsk.rsk import (
@@ -234,6 +234,15 @@ class TestBitableau:
             bitableau_of(Multisegment.empty())
         with pytest.raises(PreconditionError):
             LadderSequence().bitableau()
+
+    def test_round_trip_assertion_fires(self, monkeypatch):
+        import segrsk.rsk as rsk_mod
+
+        true_ladders_of = rsk_mod.ladders_of
+        # drop the last row's ladder
+        monkeypatch.setattr(rsk_mod, "ladders_of", lambda pq: true_ladders_of(pq)[:-1])
+        with pytest.raises(InvariantViolation, match="does not reproduce"):
+            rsk_transform(M((1, 1), (1, 2))).bitableau()
 
     def test_method_matches_function(self):
         for m in enumerate_multisegments(EnumerationBounds(-1, 1, 3)):

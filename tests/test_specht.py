@@ -1,7 +1,7 @@
 import pytest
 
 from segrsk.checks import iter_multicharges, iter_multipartitions
-from segrsk.errors import ParseError, PreconditionError
+from segrsk.errors import InvariantViolation, ParseError, PreconditionError
 from segrsk.lattice import Weight
 from segrsk.multisegment import Multisegment
 from segrsk.rsk import rsk_transform
@@ -163,6 +163,14 @@ class TestLadderOfPartition:
                 for k in (-2, 0, 2):
                     lad = ladder_of_partition(k, mu)
                     assert lad.weight() == content(k, mu.conjugate())
+
+    def test_weight_assertion_fires(self, monkeypatch):
+        import segrsk.specht as specht_mod
+
+        true_content = specht_mod.content
+        monkeypatch.setattr(specht_mod, "content", lambda k, mu: true_content(k + 1, mu))
+        with pytest.raises(InvariantViolation, match="ladder weight mismatch"):
+            ladder_of_partition.__wrapped__(0, Partition.of(2, 1))
 
 
 class TestMultisegOf:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from segrsk import oracle
-from segrsk.errors import ParseError, PreconditionError
+from segrsk.errors import InvariantViolation, ParseError, PreconditionError
 from segrsk.lattice import LaurentPoly, Weight, cartan_form
 from segrsk.multisegment import Multisegment, point_multisegment
 from segrsk.oracle import EnumerationBounds, enumerate_multisegments
@@ -223,6 +223,23 @@ class TestBzDerivative:
     def test_support_checked(self):
         with pytest.raises(PreconditionError):
             bz_derivative(M((-3, 0)), 2)
+
+    @given(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 4)), max_size=8),
+        st.integers(0, 3),
+    )
+    def test_matches_full_sweep(self, spans, slack):
+        m = M(*((b, b + n) for b, n in spans))
+        t = max((max(-s.b, s.e) for s in m), default=0) + slack
+        assert bz_derivative(m, t) == oracle.reference_bz_derivative(m, t)
+
+    def test_truncation_assertion_fires(self, monkeypatch):
+        import segrsk.strings as strings_mod
+
+        # a derivative that truncates nothing
+        monkeypatch.setattr(strings_mod, "single_derivative", lambda m, j: m)
+        with pytest.raises(InvariantViolation, match="differs from its truncation"):
+            bz_derivative(M((1, 3), (2, 2)), 3)
 
 
 class TestMultiplicityTable:

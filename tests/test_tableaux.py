@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from segrsk import oracle
 from segrsk.checks import partitions_of
-from segrsk.errors import ParseError, PreconditionError, ShapeViolation
+from segrsk.errors import InvariantViolation, ParseError, PreconditionError, ShapeViolation
 from segrsk.lattice import Weight
 from segrsk.multisegment import Multisegment
 from segrsk.rsk import bitableau_of, rsk_transform
@@ -183,6 +183,13 @@ class TestGammaDescriptor:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             gamma_descriptor(Multisegment.empty())
+
+    def test_derived_pair_admissible_by_asserted_permissibility(self, monkeypatch):
+        # the derived pair is admissible because bitableau_of asserts the
+        # source pair permissible; that assertion is what fires
+        monkeypatch.setattr(BitableauPair, "is_permissible", lambda self: False)
+        with pytest.raises(InvariantViolation, match="not permissible"):
+            gamma_descriptor(M((1, 1), (1, 2)), derived=True)
 
 
 class TestStandardTableaux:
