@@ -24,6 +24,23 @@ from .tableaux import Partition
 EXHAUSTIVE_TUPLES = 1_000_000
 EXHAUSTIVE_INSTANCES = 50_000
 
+# Size rules of run_suite, checked arithmetically before any suite runs (a
+# violated rule is a PreconditionError, exit 2 in the CLI).  Most
+# multisegments a suite holds at once: its segment pool plus its instance
+# list or domain (suite_rsk holds about 2.4 KB per instance; 85,959
+# instances took 9.9 s and 213 MB).
+CHECK_MAX_HELD = 100_000
+# Most cases a suite walks through: tuples, instances or multicharge and
+# multipartition pairs (suite_combi at the acceptance bound walks 676,672
+# tuples in about 8 s).
+CHECK_MAX_CASES = 2_000_000
+# Most segments per instance for combi, rsk and strings (a sampled
+# 16-segment instance takes about 0.4 ms in suite_rsk).
+CHECK_MAX_SEGMENTS = 16
+# Widest support |min|, |max| for combi and strings: every case of theirs
+# builds or reads a BZ vector of 2t + 1 entries.
+CHECK_MAX_SUPPORT = 100
+
 
 @dataclass
 class SuiteResult:
@@ -33,6 +50,11 @@ class SuiteResult:
     cases: int = 0
     failures: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    # size through which the domain is exhausted (segments per instance,
+    # tuple length for combi, cells for specht and tableaux), and how many
+    # of the cases were drawn at random
+    exhaustive_through: int = 0
+    sampled: int = 0
     # wall time of the suite, set by run_suite
     elapsed_s: float = 0.0
 
@@ -45,6 +67,21 @@ class SuiteResult:
         return self.cases / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
 
+def _instance_plan(pool_size: int, max_segments: int, sample: int) -> tuple[int, int, int]:
+    """bounded_instances' exhaustive size, exhaustive count and sample count."""
+    exhaustive_size = 0
+    total = 0
+    for k in range(1, max_segments + 1):
+        count = comb(pool_size + k - 1, k)
+        if total + count > EXHAUSTIVE_INSTANCES:
+            break
+        total += count
+        exhaustive_size = k
+    # multisegments of sizes 1..max_segments number C(pool + max, max) - 1
+    beyond = comb(pool_size + max_segments, max_segments) - 1 - total
+    return exhaustive_size, total, min(sample, beyond)
+
+
 def bounded_instances(
     bounds: EnumerationBounds, seed: int, sample: int
 ) -> tuple[list[Multisegment], int]:
@@ -53,13 +90,7 @@ def bounded_instances(
     Returns the instance list and the size up to which it is exhaustive.
     """
     pool = bounds.segments()
-    exhaustive_size = 0
-    total = 0
-    for k in range(1, bounds.max_segments + 1):
-        total += comb(len(pool) + k - 1, k)
-        if total > EXHAUSTIVE_INSTANCES:
-            break
-        exhaustive_size = k
+    exhaustive_size, _, sample = _instance_plan(len(pool), bounds.max_segments, sample)
     instances: list[Multisegment] = []
     for k in range(1, exhaustive_size + 1):
         instances.extend(
@@ -69,7 +100,6 @@ def bounded_instances(
         rng = random.Random(seed)
         sizes = list(range(exhaustive_size + 1, bounds.max_segments + 1))
         weights = [comb(len(pool) + k - 1, k) for k in sizes]
-        sample = min(sample, sum(weights))
         seen = set()
         drawn = []
         while len(drawn) < sample:
@@ -98,11 +128,15 @@ def suite_combi(
     domain = list(enumerate_multisegments(bounds))
     t = max(abs(bounds.support_min), abs(bounds.support_max))
     seq = strings.AdmissibleSequence.bz(t)
+    idx = seq.indices
     repro = _repro("combi", bounds, seed)
-    # BZ coordinates and weights are per-element data; hoist them out of the
-    # quadratic tuple loop
-    bz_coords = {m: strings.bz_string(m, t)[1] for m in domain}
-    weights = {m: m.weight() for m in domain}
+    # BZ coordinates, weights and checked betas are per-element data: build
+    # and validate them once, outside the tuple loops
+    data = {}
+    for m in domain:
+        a = strings.bz_string(m, t)[1]
+        w = m.weight()
+        data[m] = (a, w, strings._checked_betas(seq, (a,), (w,))[0])
 
     def check(ms: tuple[Multisegment, ...]) -> None:
         result.cases += 1
@@ -114,29 +148,33 @@ def suite_combi(
                 f"C-C'={c - cp} but Phi={phi} on ({', '.join(map(str, ms))}) | {repro}"
             )
             return
-        avecs = [bz_coords[m] for m in ms]
-        betas = [weights[m] for m in ms]
-        if strings.phi_weights(seq, avecs, betas) != phi:
+        avecs, betas, bvs = zip(*(data[m] for m in ms))
+        if strings._phi_pairs(idx, avecs, betas, bvs) != phi:
             result.failures.append(
                 f"string-form Phi mismatch on ({', '.join(map(str, ms))}) | {repro}"
             )
 
     for m in domain:
         check((m,))
+    result.exhaustive_through = 1
     if len(domain) ** 2 <= EXHAUSTIVE_TUPLES:
         for pair in itertools.product(domain, repeat=2):
             check(pair)
+        result.exhaustive_through = 2
     else:
         rng = random.Random(seed)
         for _ in range(sample):
             check((rng.choice(domain), rng.choice(domain)))
+        result.sampled += sample
     if len(domain) ** 3 <= EXHAUSTIVE_TUPLES:
         for triple in itertools.product(domain, repeat=3):
             check(triple)
+        result.exhaustive_through = 3
     else:
         rng = random.Random(seed + 1)
         for _ in range(sample):
             check((rng.choice(domain), rng.choice(domain), rng.choice(domain)))
+        result.sampled += sample
     return result
 
 
@@ -148,6 +186,8 @@ def suite_rsk(
     repro = _repro("rsk", bounds, seed)
     instances, exhaustive_size = bounded_instances(bounds, seed, sample)
     result.notes.append(f"exhaustive through size {exhaustive_size}")
+    result.exhaustive_through = exhaustive_size
+    result.sampled = sum(1 for m in instances if len(m) > exhaustive_size)
     peel_images: dict[tuple[Multisegment, Multisegment], Multisegment] = {}
     # a rest has fewer segments than the multisegment it comes from, so
     # within the exhaustive sizes every rest is an earlier instance: each
@@ -170,9 +210,7 @@ def suite_rsk(
         except (InvariantViolation, ShapeViolation) as exc:
             result.failures.append(f"RSK({m}) failed: {exc} | {repro}")
             continue
-        wt_sum = Multisegment()
-        for lad in transform:
-            wt_sum = wt_sum + lad
+        wt_sum = Multisegment(s for lad in transform for s in lad.segments)
         if wt_sum.weight() != m.weight() or wt_sum.begin_weight() != m.begin_weight():
             result.failures.append(f"RSK({m}) does not conserve wt/b | {repro}")
         prev_width = oracle.dilworth_width(m)
@@ -232,7 +270,7 @@ def suite_kv(bounds: EnumerationBounds, seed: int = 0) -> SuiteResult:
         bounds.support_max,
         min(bounds.max_segments, oracle.KV_GUARD - 1),
     )
-    result = SuiteResult("kv")
+    result = SuiteResult("kv", exhaustive_through=capped.max_segments)
     repro = _repro("rsk", bounds, seed)
     for m in enumerate_multisegments(capped):
         if not m:
@@ -252,6 +290,8 @@ def suite_strings(
     t = max(abs(bounds.support_min), abs(bounds.support_max))
     instances, exhaustive_size = bounded_instances(bounds, seed, sample)
     result.notes.append(f"exhaustive through size {exhaustive_size}")
+    result.exhaustive_through = exhaustive_size
+    result.sampled = sum(1 for m in instances if len(m) > exhaustive_size)
     # first peels shared by the RSKs of the instances and of their extensions,
     # kept below the exhaustive size as in suite_rsk
     keep = exhaustive_size - 1
@@ -283,7 +323,9 @@ def suite_strings(
     nonempty_domain = instances or [Multisegment()]
     # each instance's BZ vector, computed once
     bz_vector = lru_cache(maxsize=None)(lambda x: strings.bz_string(x, t)[1])
-    for _ in range(min(sample, 2000)):
+    pairs = min(sample, 2000)
+    result.sampled += pairs
+    for _ in range(pairs):
         m1 = rng.choice(nonempty_domain)
         m2 = rng.choice(nonempty_domain)
         result.cases += 1
@@ -350,7 +392,7 @@ def suite_specht(
     seed: int = 0,
 ) -> SuiteResult:
     """Padding, the RSK dictionary and column removal over all restricted inputs."""
-    result = SuiteResult("specht")
+    result = SuiteResult("specht", exhaustive_through=max_size)
     repro = (
         f"segrsk check --suite specht --min {charge_min} --max {charge_max} "
         f"--max-segments {max_size} --level {max_level} --seed {seed}"
@@ -378,7 +420,7 @@ def suite_specht(
 
 def suite_tableaux(max_partition_size: int = 6, charge_span: int = 2) -> SuiteResult:
     """Hook-length counts, residue weights and the cut-ladder identity."""
-    result = SuiteResult("tableaux")
+    result = SuiteResult("tableaux", exhaustive_through=max_partition_size)
     for n in range(max_partition_size + 1):
         for mu in partitions_of(n):
             result.cases += 1
@@ -400,6 +442,74 @@ def suite_tableaux(max_partition_size: int = 6, charge_span: int = 2) -> SuiteRe
     return result
 
 
+def _specht_pairs(span: int, max_level: int, max_size: int) -> int:
+    """(multicharge, multipartition) pairs suite_specht walks through.
+
+    Exact up to CHECK_MAX_CASES; past it, a lower bound that exceeds it.
+    Level 1 alone has span times the number of partitions of size at most
+    max_size, and there are over 1.9e8 partitions of 100, so larger sizes
+    count as 100.
+    """
+    size = min(max_size, 100)
+    # p[n]: partitions of n
+    p = [1] + [0] * size
+    for part in range(1, size + 1):
+        for n in range(part, size + 1):
+            p[n] += p[n - part]
+    # multipartitions of the current level, by total size; level 0 first
+    by_size = [1] + [0] * size
+    total = 0
+    for level in range(1, max_level + 1):
+        by_size = [sum(by_size[j] * p[n - j] for j in range(n + 1)) for n in range(size + 1)]
+        pairs = comb(span + level - 1, level) * sum(by_size)
+        total += pairs
+        # each later level has at least as many charges and multipartitions
+        if total + pairs * (max_level - level) > CHECK_MAX_CASES:
+            return total + pairs * (max_level - level)
+    return total
+
+
+def size_plan(
+    name: str, bounds: EnumerationBounds, sample: int = 10_000, max_level: int = 3
+) -> dict[str, tuple[int, int]]:
+    """Multisegments held and cases walked by each suite run_suite runs.
+
+    Computed arithmetically: the segment pool is counted, never built.  The
+    segment and support caps are checked first, since every other count
+    grows with them; a violated cap raises PreconditionError.  suite_tableaux
+    runs at fixed bounds and is left out.
+    """
+    k = bounds.max_segments
+    t = max(abs(bounds.support_min), abs(bounds.support_max))
+    if name != "specht" and k > CHECK_MAX_SEGMENTS:
+        raise PreconditionError(
+            f"{k} segments per instance, above the cap {CHECK_MAX_SEGMENTS}"
+        )
+    if name in ("combi", "strings", "all") and t > CHECK_MAX_SUPPORT:
+        raise PreconditionError(f"support reaches {t}, above the cap {CHECK_MAX_SUPPORT}")
+    width = bounds.support_max - bounds.support_min + 1
+    pool = width * (width + 1) // 2
+    plan: dict[str, tuple[int, int]] = {}
+    if name in ("combi", "all"):
+        domain = comb(pool + k, k)
+        pairs = domain**2 if domain**2 <= EXHAUSTIVE_TUPLES else sample
+        triples = domain**3 if domain**3 <= EXHAUSTIVE_TUPLES else sample
+        plan["combi"] = (pool + domain, domain + pairs + triples)
+    if name in ("rsk", "strings", "all"):
+        _, exhaustive, drawn = _instance_plan(pool, k, sample)
+        instances = exhaustive + drawn
+    if name in ("rsk", "all"):
+        plan["rsk"] = (pool + instances, instances)
+        kv = min(k, oracle.KV_GUARD - 1)
+        plan["kv"] = (pool, comb(pool + kv, kv) - 1)
+    if name in ("strings", "all"):
+        plan["strings"] = (pool + instances, instances + min(sample, 2000))
+    if name in ("specht", "all"):
+        # the support bounds are the charges
+        plan["specht"] = (0, _specht_pairs(width, max_level, k))
+    return plan
+
+
 def run_suite(
     name: str,
     bounds: EnumerationBounds,
@@ -410,12 +520,22 @@ def run_suite(
     """Dispatch for the check command; 'all' runs every suite.
 
     A level cap below 1 or a negative sample size would check nothing and
-    still pass, so both are preconditions, checked before any suite runs.
+    still pass, so both are preconditions, checked before any suite runs;
+    so are the size rules of size_plan.
     """
     if max_level < 1:
         raise PreconditionError(f"multicharge level cap must be at least 1, got {max_level}")
     if sample < 0:
         raise PreconditionError(f"sample size must be non-negative, got {sample}")
+    for suite, (held, walked) in size_plan(name, bounds, sample, max_level).items():
+        if held > CHECK_MAX_HELD:
+            raise PreconditionError(
+                f"{suite} would hold {held} multisegments, above the cap {CHECK_MAX_HELD}"
+            )
+        if walked > CHECK_MAX_CASES:
+            raise PreconditionError(
+                f"{suite} would check {walked} cases, above the cap {CHECK_MAX_CASES}"
+            )
     results: list[SuiteResult] = []
 
     def timed(suite: Callable[[], SuiteResult]) -> None:

@@ -47,6 +47,13 @@ TABLEAUX_MAX_CELLS = 2_000
 # would print 132 MB.  It caps the count too: a shape with over 100,000
 # tableaux has over 10 cells
 TABLEAUX_MAX_OUTPUT_CELLS = 1_000_000
+# most cells and rows `specht` accepts, counted after the padding that
+# --pad and --verify-rsk build; checked before any work.  Weights are built
+# one cell at a time (a 10,000-cell row takes 0.1 s and 22 MB; 1,000,000
+# cells take 660 MB), and rows are segments the RSK transform peels (300
+# rows take 0.3 s; two 400-row components end in a RecursionError)
+SPECHT_MAX_CELLS = 10_000
+SPECHT_MAX_ROWS = 300
 
 
 @dataclass
@@ -133,6 +140,21 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     return 0
 
 
+def _specht_size(
+    kappa: specht.Multicharge, mp: specht.Multipartition, padded: bool
+) -> tuple[int, int]:
+    """Cells and rows of the input, or of its padding, counted arithmetically."""
+    rows = [mu.length() for mu in mp]
+    cells = mp.size()
+    if padded:
+        # specht.pad gives component i max(len, r + k_i) rows, where r is the
+        # final component's length minus its charge, and each row one more cell
+        r = rows[-1] - kappa.charges[-1]
+        rows = [max(n, r + k) for n, k in zip(rows, kappa.charges)]
+        cells += sum(rows)
+    return cells, sum(rows)
+
+
 def _cmd_specht(args: argparse.Namespace) -> int:
     report = CommandReport()
     lines: list[str] = []
@@ -142,6 +164,13 @@ def _cmd_specht(args: argparse.Namespace) -> int:
         raise PreconditionError(
             f"{len(kappa)} charges but {len(mp)} partition components"
         )
+    padded = args.pad or args.verify_rsk
+    what = "padded multipartition" if padded else "multipartition"
+    for count, noun, cap in zip(
+        _specht_size(kappa, mp, padded), ("cells", "rows"), (SPECHT_MAX_CELLS, SPECHT_MAX_ROWS)
+    ):
+        if count > cap:
+            raise PreconditionError(f"{what} has {count} {noun}, above the cap {cap}")
     restricted = specht.is_restricted(kappa, mp)
     proper = specht.is_proper(kappa, mp)
     m = specht.multiseg_of(kappa, mp)
@@ -230,6 +259,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "cases": res.cases,
             "failures": res.failures,
             "notes": res.notes,
+            "exhaustive_through": res.exhaustive_through,
+            "sampled": res.sampled,
             "elapsed_s": res.elapsed_s,
             "cases_per_s": res.cases_per_s,
         }

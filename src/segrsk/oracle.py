@@ -18,7 +18,7 @@ from math import comb, factorial
 
 from .errors import PreconditionError, SizeGuardExceeded
 from .multisegment import Multisegment, Segment
-from .rsk import _depth_classes, _kv_from_classes, _pairs
+from .rsk import Pair, _depth_classes, _kv_from_classes, _pairs
 from .strings import single_derivative
 from .tableaux import Partition
 
@@ -82,10 +82,12 @@ def dilworth_width(m: Multisegment) -> int:
                     return True
         return False
 
-    matching = 0
-    for i in range(n):
-        if augment(i, [False] * n):
-            matching += 1
+    try:
+        matching = sum(1 for i in range(n) if augment(i, [False] * n))
+    finally:
+        # augment reaches itself through its closure; dropping the name
+        # breaks that cycle so adj and the matching are freed at return
+        del augment
     return n - matching
 
 
@@ -208,6 +210,21 @@ def hook_length_count(mu: Partition) -> int:
     return factorial(mu.size()) // product
 
 
+def _nested_enumerations(pairs: Sequence[Pair], idxs: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every order of one depth class with b weakly up and e weakly down."""
+    valid = []
+    for perm in itertools.permutations(idxs):
+        b, e = pairs[perm[0]]
+        for r in perm[1:]:
+            nb, ne = pairs[r]
+            if nb < b or ne > e:
+                break
+            b, e = nb, ne
+        else:
+            valid.append(perm)
+    return valid
+
+
 def kv_choice_independence(m: Multisegment) -> bool:
     """Re-run one peeling step under every admissible class enumeration."""
     if len(m) > KV_GUARD:
@@ -216,18 +233,7 @@ def kv_choice_independence(m: Multisegment) -> bool:
         raise PreconditionError("cannot peel the empty multisegment")
     pairs = _pairs(m)
     classes = _depth_classes(pairs)
-    per_class: list[list[list[int]]] = []
-    for idxs in classes.values():
-        valid = []
-        for perm in itertools.permutations(idxs):
-            ok = all(
-                pairs[perm[r]][0] <= pairs[perm[r + 1]][0]
-                and pairs[perm[r]][1] >= pairs[perm[r + 1]][1]
-                for r in range(len(perm) - 1)
-            )
-            if ok:
-                valid.append(list(perm))
-        per_class.append(valid)
+    per_class = [_nested_enumerations(pairs, idxs) for idxs in classes.values()]
     keys = list(classes.keys())
     outputs = set()
     for choice in itertools.product(*per_class):

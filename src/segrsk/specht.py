@@ -206,10 +206,9 @@ def ladder_of_partition(k: int, mu: Partition) -> Multisegment:
 def multiseg_of(kappa: Multicharge, mp: Multipartition) -> Multisegment:
     """Sum of the component ladders at the negated charges."""
     _check_paired(kappa, mp)
-    total = Multisegment()
-    for k, mu in zip(kappa, mp):
-        total = total + ladder_of_partition(-k, mu)
-    return total
+    return Multisegment(
+        s for k, mu in zip(kappa, mp) for s in ladder_of_partition(-k, mu).segments
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -102,14 +102,29 @@ def phi_weights(
     betas: Sequence[Weight],
 ) -> int:
     """Grading shift sum over j < k of (a_j,a_k)_i - (beta_k, beta(i,a_j))."""
+    return _phi_pairs(i.indices, avecs, betas, _checked_betas(i, avecs, betas))
+
+
+def _checked_betas(
+    i: AdmissibleSequence, avecs: Sequence[Sequence[int]], betas: Sequence[Weight]
+) -> list[Weight]:
+    """beta(i, a) of every vector, each checked against i and its weight."""
     if len(avecs) != len(betas):
         raise PreconditionError("one weight per exponent vector is required")
-    # beta_of checks every vector against i, once
     bvs = [beta_of(i, a) for a in avecs]
     for bv, beta in zip(bvs, betas):
         if not bv.leq(beta):
             raise PreconditionError(f"beta(i,a) = {bv} exceeds its weight {beta}")
-    idx = i.indices
+    return bvs
+
+
+def _phi_pairs(
+    idx: Sequence[int],
+    avecs: Sequence[Sequence[int]],
+    betas: Sequence[Weight],
+    bvs: Sequence[Weight],
+) -> int:
+    """phi_weights on vectors whose betas bvs came from _checked_betas."""
     total = 0
     for j in range(len(avecs)):
         for k in range(j + 1, len(avecs)):
@@ -159,14 +174,27 @@ def phi_multiseg(ms: Sequence[Multisegment]) -> int:
     return total
 
 
+def _check_support(m: Multisegment, t: int) -> None:
+    """wt(m).in_subcone(t), read off the segment endpoints.
+
+    A multisegment weight is never negative, and its support is the union
+    of the segments, so it lies in [-t, t] iff every b >= -t and e <= t.
+    """
+    _check_bz_parameter(t)
+    for s in m.segments:
+        if s.b < -t or s.e > t:
+            raise PreconditionError(f"support of wt({m}) exceeds [-{t},{t}]")
+
+
 def bz_string(m: Multisegment, t: int) -> tuple[AdmissibleSequence, StringVector]:
     """Exponent vector of m over the BZ sequence, determined by begin counts."""
-    _check_bz_parameter(t)
-    if not m.weight().in_subcone(t):
-        raise PreconditionError(f"support of wt({m}) exceeds [-{t},{t}]")
+    _check_support(m, t)
     seq = AdmissibleSequence.bz(t)
-    bw = m.begin_weight()
-    return seq, tuple(bw.coeff(i) for i in seq.indices)
+    # position r of the sequence holds the index t - r
+    counts = [0] * len(seq)
+    for s in m.segments:
+        counts[t - s.b] += 1
+    return seq, tuple(counts)
 
 
 def single_derivative(m: Multisegment, j: int) -> Multisegment:
@@ -199,9 +227,7 @@ def bz_derivative(m: Multisegment, t: int) -> Multisegment:
     the previous one moved the begins at the next index.  The result must
     equal m.derived(); the equality is asserted.
     """
-    _check_bz_parameter(t)
-    if not m.weight().in_subcone(t):
-        raise PreconditionError(f"support of wt({m}) exceeds [-{t},{t}]")
+    _check_support(m, t)
     out = m
     for j in sorted({s.b for s in m.segments}, reverse=True):
         out = single_derivative(out, j)

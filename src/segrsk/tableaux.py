@@ -138,7 +138,8 @@ class BitableauPair:
     q: InvertedSSYT
 
     def __post_init__(self):
-        if self.p.shape() != self.q.shape():
+        # both row-length tuples are partitions already: InvertedSSYT checks
+        if tuple(map(len, self.p.rows)) != tuple(map(len, self.q.rows)):
             raise ShapeViolation(
                 f"shape mismatch: {self.p.shape()} vs {self.q.shape()}"
             )

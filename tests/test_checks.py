@@ -1,17 +1,27 @@
-"""The suite-local peel memo, and the suites' checks still firing through it."""
+"""The suite-local peel memo, the suites' checks still firing through it,
+and the size rules run_suite checks before any suite runs."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from segrsk import checks, oracle, rsk
 from segrsk.checks import (
+    CHECK_MAX_CASES,
+    CHECK_MAX_HELD,
     PARTITIONS_CACHE_SIZE,
     bounded_instances,
+    iter_multicharges,
+    iter_multipartitions,
     partitions_of,
+    run_suite,
+    size_plan,
     suite_rsk,
     suite_strings,
 )
+from segrsk.errors import PreconditionError
 from segrsk.multisegment import Multisegment
 from segrsk.oracle import EnumerationBounds, enumerate_multisegments
 from segrsk.rsk import _peel_trace
@@ -198,3 +208,146 @@ def test_partitions_cache_stays_bounded():
     info = partitions_of.cache_info()
     assert info.maxsize == PARTITIONS_CACHE_SIZE
     assert info.currsize == PARTITIONS_CACHE_SIZE
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _benchmark_catalog():
+    """(suite, args) of every check-bounded catalog entry, read as text.
+
+    The entries are literals apart from the B(...) bounds, which are built
+    here as EnumerationBounds.
+    """
+
+    def value(node):
+        if isinstance(node, ast.Call):
+            return EnumerationBounds(*(value(arg) for arg in node.args))
+        if isinstance(node, ast.Tuple):
+            return tuple(value(elt) for elt in node.elts)
+        return ast.literal_eval(node)
+
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.AnnAssign) and node.target.id == "CATALOG":
+            return [value(entry)[:2] for entry in node.value.elts]
+    raise AssertionError(f"CATALOG not found in {WORKLOADS}")
+
+
+def _walked_specht_pairs(cmin, cmax, level, size):
+    return sum(
+        1
+        for kappa in iter_multicharges(cmin, cmax, level)
+        for _ in iter_multipartitions(kappa.level(), size)
+    )
+
+
+class TestSizePlan:
+    @pytest.mark.parametrize(
+        "bounds, sample, level",
+        [
+            (EnumerationBounds(-1, 1, 2), 10_000, 2),
+            (EnumerationBounds(-1, 1, 4), 50, 2),
+            (EnumerationBounds(0, 1, 4), 7, 1),
+            (EnumerationBounds(-2, 2, 1), 100, 2),
+            (EnumerationBounds(-1, 0, 0), 3, 1),
+        ],
+    )
+    def test_counts_match_the_suites(self, bounds, sample, level):
+        plan = size_plan("all", bounds, sample, level)
+        results = {r.name: r for r in run_suite("all", bounds, 1, sample, level)}
+        assert set(plan) == set(results) - {"tableaux"}
+        for name, (_, walked) in plan.items():
+            if name == "specht":
+                # the suite counts only the restricted pairs it walks through
+                assert walked == _walked_specht_pairs(
+                    bounds.support_min, bounds.support_max, level, bounds.max_segments
+                )
+            else:
+                assert walked == results[name].cases, name
+
+    def test_counts_match_with_sampled_sizes(self, monkeypatch):
+        monkeypatch.setattr(checks, "EXHAUSTIVE_INSTANCES", 10)
+        bounds = EnumerationBounds(-1, 1, 3)
+        plan = size_plan("rsk", bounds, 12)
+        result = suite_rsk(bounds, 1, 12)
+        assert (result.exhaustive_through, result.sampled) == (1, 12)
+        assert plan["rsk"] == (6 + result.cases, result.cases)
+
+    def test_admits_every_bound_in_use(self):
+        # Tier-1 and the acceptance criteria, then the benchmark catalog
+        in_use = [
+            ("combi", EnumerationBounds(-2, 2, 3), 10_000, 3),
+            ("rsk", EnumerationBounds(-3, 3, 6), 10_000, 3),
+            ("strings", EnumerationBounds(-3, 3, 6), 10_000, 3),
+            ("rsk", EnumerationBounds(-2, 2, 5), 10_000, 3),
+            ("specht", EnumerationBounds(-2, 2, 8), 10_000, 3),
+            ("all", EnumerationBounds(-2, 2, 3), 10_000, 3),
+        ]
+        suites = {
+            "suite_combi": "combi",
+            "suite_rsk": "rsk",
+            "suite_kv": "rsk",
+            "suite_strings": "strings",
+        }
+        for suite, args in _benchmark_catalog():
+            if suite == "suite_specht":
+                cmin, cmax, level, size = args
+                in_use.append(("specht", EnumerationBounds(cmin, cmax, size), 10_000, level))
+            elif suite in suites:
+                in_use.append((suites[suite], args[0], 10_000, 3))
+        assert len(in_use) > 20
+        for name, bounds, sample, level in in_use:
+            for held, walked in size_plan(name, bounds, sample, level).values():
+                assert held <= CHECK_MAX_HELD and walked <= CHECK_MAX_CASES, (name, bounds)
+
+    def test_specht_sizes_past_100_are_over_the_cap(self):
+        assert checks._specht_pairs(1, 1, 100) > CHECK_MAX_CASES
+
+    @pytest.mark.parametrize(
+        "bounds, level",
+        [
+            (EnumerationBounds(-1, 1, 2), 3),
+            (EnumerationBounds(0, 1, 5), 3),
+            (EnumerationBounds(-1, 1, 3), 4),
+            (EnumerationBounds(0, 0, 0), 9),
+        ],
+    )
+    def test_specht_pairs_match_the_walk(self, bounds, level):
+        span = bounds.support_max - bounds.support_min + 1
+        assert checks._specht_pairs(span, level, bounds.max_segments) == _walked_specht_pairs(
+            bounds.support_min, bounds.support_max, level, bounds.max_segments
+        )
+
+    @pytest.mark.parametrize(
+        "name, bounds, sample, level, words",
+        [
+            ("rsk", EnumerationBounds(-2, 2, 17), 10, 3, "segments per instance"),
+            ("combi", EnumerationBounds(0, 101, 1), 10, 3, "support reaches 101"),
+            ("strings", EnumerationBounds(-101, 0, 1), 10, 3, "support reaches 101"),
+            ("combi", EnumerationBounds(-2, 2, 7), 10, 3, "combi would hold"),
+            ("strings", EnumerationBounds(-3, 3, 8), 100_000, 3, "strings would hold"),
+            ("rsk", EnumerationBounds(-4, 4, 6), 10, 3, "kv would check"),
+            ("specht", EnumerationBounds(-2, 2, 16), 10, 3, "specht would check"),
+            ("specht", EnumerationBounds(0, 0, 0), 10, CHECK_MAX_CASES + 1, "specht would check"),
+        ],
+    )
+    def test_rules_fire_before_any_suite_runs(
+        self, monkeypatch, name, bounds, sample, level, words
+    ):
+        for suite in ("suite_combi", "suite_rsk", "suite_kv", "suite_strings", "suite_specht"):
+            monkeypatch.setattr(checks, suite, None)
+        with pytest.raises(PreconditionError, match=words):
+            run_suite(name, bounds, 0, sample, level)
+
+    def test_caps_are_inclusive(self, monkeypatch):
+        bounds = EnumerationBounds(-1, 1, 2)
+        (held, walked), = size_plan("combi", bounds, 10).values()
+        monkeypatch.setattr(checks, "CHECK_MAX_HELD", held)
+        monkeypatch.setattr(checks, "CHECK_MAX_CASES", walked)
+        assert run_suite("combi", bounds, 0, 10)[0].cases == walked
+        monkeypatch.setattr(checks, "CHECK_MAX_CASES", walked - 1)
+        with pytest.raises(PreconditionError, match=f"{walked} cases"):
+            run_suite("combi", bounds, 0, 10)
+        monkeypatch.setattr(checks, "CHECK_MAX_HELD", held - 1)
+        with pytest.raises(PreconditionError, match=f"{held} multisegments"):
+            run_suite("combi", bounds, 0, 10)

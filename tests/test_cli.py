@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import segrsk
+from segrsk import checks, cli
+from segrsk.checks import iter_multicharges, iter_multipartitions
 from segrsk.cli import main
 from segrsk.errors import InvariantViolation, ShapeViolation, SizeGuardExceeded
 
@@ -202,6 +204,65 @@ class TestSpechtCommand:
         code, _, _ = run_cli(capsys, "specht", "--charge", "0,1", "--parts", "1|1")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("--charge", "0", "--parts", "100000000"),
+                "multipartition has 100000000 cells, above the cap 10000",
+            ),
+            (
+                ("--charge", "0", "--parts", ",".join(["1"] * 301)),
+                "multipartition has 301 rows, above the cap 300",
+            ),
+            # the padding of an empty component at a far charge is huge
+            (
+                ("--charge", "100000000,0", "--parts", "|", "--pad"),
+                "padded multipartition has 100000000 cells, above the cap 10000",
+            ),
+            (
+                ("--charge", "100000000,0", "--parts", "|", "--verify-rsk"),
+                "padded multipartition has 100000000 cells, above the cap 10000",
+            ),
+        ],
+    )
+    def test_size_caps_exit_2_before_any_work(self, capsys, monkeypatch, argv, message):
+        for name in ("is_restricted", "multiseg_of", "pad"):
+            monkeypatch.setattr(cli.specht, name, None)
+        code, out, err = run_cli(capsys, "specht", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"precondition error: {message}\n"
+        code, out, _ = run_cli(capsys, "specht", *argv, "--json")
+        assert code == 2
+        assert json.loads(out) == {
+            "status": "precondition_error",
+            "payload": {},
+            "diagnostics": [f"precondition error: {message}"],
+        }
+
+    def test_size_caps_are_inclusive(self, capsys, monkeypatch):
+        # "2|2,1" padded under 1,0 is "3,1,1|3,2": 10 cells in 5 rows
+        argv = ("specht", "--charge", "1,0", "--parts", "2|2,1", "--pad")
+        monkeypatch.setattr(cli, "SPECHT_MAX_CELLS", 10)
+        monkeypatch.setattr(cli, "SPECHT_MAX_ROWS", 5)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "SPECHT_MAX_ROWS", 4)
+        assert run_cli(capsys, *argv)[2].endswith("has 5 rows, above the cap 4\n")
+        monkeypatch.setattr(cli, "SPECHT_MAX_CELLS", 9)
+        assert run_cli(capsys, *argv)[2].endswith("has 10 cells, above the cap 9\n")
+
+    def test_padded_size_matches_the_padding(self):
+        for kappa in iter_multicharges(-2, 2, 3):
+            for mp in iter_multipartitions(kappa.level(), 4):
+                unpadded = (mp.size(), sum(mu.length() for mu in mp))
+                assert cli._specht_size(kappa, mp, padded=False) == unpadded
+                if cli.specht.is_restricted(kappa, mp):
+                    padded = cli.specht.pad(kappa, mp)
+                    assert cli._specht_size(kappa, mp, padded=True) == (
+                        padded.size(),
+                        sum(mu.length() for mu in padded),
+                    ), f"{kappa} {mp}"
+
 
 class TestTableauxCommand:
     def test_output(self, capsys):
@@ -357,10 +418,93 @@ class TestCheckCommand:
         payload = json.loads(out)["payload"]
         assert set(payload) == {"rsk", "kv", "tableaux"}
         for suite in payload.values():
-            assert set(suite) == {"cases", "failures", "notes", "elapsed_s", "cases_per_s"}
+            assert set(suite) == {
+                "cases",
+                "failures",
+                "notes",
+                "exhaustive_through",
+                "sampled",
+                "elapsed_s",
+                "cases_per_s",
+            }
             assert suite["elapsed_s"] > 0
             assert suite["cases_per_s"] == pytest.approx(suite["cases"] / suite["elapsed_s"])
         assert payload["rsk"]["notes"] == ["exhaustive through size 2"]
+
+    def test_json_reports_exhaustive_size_and_sample_count(self, capsys, monkeypatch):
+        # all exhaustive but for strings' random additivity pairs
+        argv = ("check", "--suite", "all", "--min", "-1", "--max", "1",
+                "--max-segments", "2", "--sample", "3", "--level", "2")
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        sizes = {name: (s["exhaustive_through"], s["sampled"]) for name, s in payload.items()}
+        assert sizes == {
+            "combi": (3, 0),
+            "rsk": (2, 0),
+            "kv": (2, 0),
+            "tableaux": (6, 0),
+            "strings": (2, 3),
+            "specht": (2, 0),
+        }
+        # the text output and the notes stay as they were
+        code, text, _ = run_cli(capsys, *argv)
+        assert "exhaustive_through" not in text and "sampled" not in text
+        assert payload["rsk"]["notes"] == ["exhaustive through size 2"]
+        # sizes past the exhaustive budget are drawn at random
+        monkeypatch.setattr(checks, "EXHAUSTIVE_INSTANCES", 10)
+        code, out, _ = run_cli(
+            capsys, "check", "--suite", "rsk", "--min", "-1", "--max", "1",
+            "--max-segments", "2", "--sample", "5", "--json",
+        )
+        rsk = json.loads(out)["payload"]["rsk"]
+        assert (rsk["cases"], rsk["exhaustive_through"], rsk["sampled"]) == (11, 1, 5)
+        # combi samples the triples of its 10-element domain past 100 tuples
+        monkeypatch.setattr(checks, "EXHAUSTIVE_TUPLES", 100)
+        code, out, _ = run_cli(
+            capsys, "check", "--suite", "combi", "--min", "0", "--max", "1",
+            "--max-segments", "2", "--sample", "4", "--json",
+        )
+        combi = json.loads(out)["payload"]["combi"]
+        assert (combi["exhaustive_through"], combi["sampled"]) == (2, 4)
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            # each of these ended in a MemoryError traceback (exit 1) or ran
+            # for minutes before the size rules
+            (("--suite", "rsk", "--max-segments", "1000000000"), "segments per instance"),
+            (
+                ("--suite", "strings", "--min", "-100000", "--max", "100000",
+                 "--max-segments", "2"),
+                "support reaches 100000",
+            ),
+            (
+                ("--suite", "combi", "--min", "-10", "--max", "10", "--max-segments", "4"),
+                "combi would hold 123856041 multisegments",
+            ),
+            (
+                ("--suite", "rsk", "--min", "-10", "--max", "10", "--max-segments", "6"),
+                "kv would check 5845994231 cases",
+            ),
+            # the pool alone, without the support cap
+            (
+                ("--suite", "rsk", "--min", "0", "--max", "1000", "--max-segments", "1"),
+                "rsk would hold",
+            ),
+        ],
+    )
+    def test_size_rules_exit_2_before_any_suite(self, capsys, monkeypatch, bounds, message):
+        for suite in ("suite_combi", "suite_rsk", "suite_kv", "suite_strings"):
+            monkeypatch.setattr(checks, suite, None)
+        code, out, err = run_cli(capsys, "check", *bounds)
+        assert (code, out) == (2, "")
+        assert err.startswith("precondition error: ") and message in err
+        code, out, _ = run_cli(capsys, "check", *bounds, "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert (report["status"], report["payload"]) == ("precondition_error", {})
+        assert message in report["diagnostics"][0]
 
     def test_text_output_carries_no_timing(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--suite", "rsk", "--max-segments", "1")
@@ -453,9 +597,17 @@ def test_bz_cost_does_not_grow_with_t():
     assert proc.stdout == "[2,2]+[1,3]\n"
 
 
-# The argv grammar of the fuzz test below.  Segments, partition parts and
-# shapes stay short: the library builds weights point by point, so a
-# segment or part of length L costs O(L) memory.
+def test_bz_cost_does_not_grow_with_segment_length():
+    # the support check reads segment endpoints, not the dense weight
+    proc = _run_module("derive", "--bz", "100000000", "[0,100000000]", timeout=10)
+    assert proc.returncode == 0
+    assert proc.stdout == "[1,100000000]\n"
+
+
+# The argv grammar of the fuzz test below.  Segments stay short: `derive
+# --phi` builds the weights of its inputs point by point, so a segment of
+# length L costs O(L) memory.  Partition parts, shapes and check bounds may
+# be huge: the specht, tableaux and check size caps refuse them first.
 _junk = st.sampled_from(
     ["", " ", "x", "-", "--", "--bogus", "[", "[2,1]", "[1,2", "[a,b]", "[1,2]+", "1,,2", "|", "3,1|", "0"]
 ) | st.text(max_size=4)
@@ -508,7 +660,9 @@ _argvs = st.one_of(
         "specht",
         _option("--charge", _or_junk(_charges), required=True),
         _option(
-            "--parts", _or_junk(st.lists(_partition, min_size=1, max_size=3).map("|".join)), required=True
+            "--parts",
+            _or_junk(st.lists(_partition | _huge, min_size=1, max_size=3).map("|".join)),
+            required=True,
         ),
         _flags("--pad", "--derive", "--verify-rsk", "--json"),
     ),
@@ -521,11 +675,11 @@ _argvs = st.one_of(
     _command(
         "check",
         _option("--suite", _or_junk(st.sampled_from(["combi", "rsk", "specht", "strings", "all"]))),
-        _option("--min", st.integers(-1, 1).map(str), required=True),
-        _option("--max", st.integers(-1, 1).map(str), required=True),
-        _option("--max-segments", st.integers(-1, 2).map(str), required=True),
-        _option("--sample", st.integers(-1, 5).map(str), required=True),
-        _option("--level", st.integers(0, 2).map(str), required=True),
+        _option("--min", st.integers(-1, 1).map(str) | _huge, required=True),
+        _option("--max", st.integers(-1, 1).map(str) | _huge, required=True),
+        _option("--max-segments", st.integers(-1, 2).map(str) | _huge, required=True),
+        _option("--sample", st.integers(-1, 5).map(str) | _huge, required=True),
+        _option("--level", st.integers(0, 2).map(str) | _huge, required=True),
         _option("--seed", _small_int | _huge),
         _flags("--json"),
     ),
@@ -538,9 +692,10 @@ _argvs = st.one_of(
 def test_any_argv_ends_in_a_documented_exit_code(argv):
     """Every argv exits 0 to 4, argparse's usage exit 2 included.
 
-    `check` draws stay at the scale of the tests above (support in [-1, 1],
-    at most 2 segments, sample at most 5, level at most 2): larger bounds
-    can exhaust memory before any check fires, and a test must not do that.
+    `check` draws are small (support in [-1, 1], at most 2 segments, sample
+    at most 5, level at most 2) or huge; a huge bound either costs nothing
+    (a far but narrow support, a sample past the whole domain) or breaks a
+    size rule of run_suite (exit 2).
     """
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):

@@ -1,4 +1,9 @@
+import gc
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segrsk.errors import PreconditionError, SizeGuardExceeded
 from segrsk.multisegment import Multisegment
@@ -8,8 +13,10 @@ from segrsk.oracle import (
     dilworth_width,
     enumerate_multisegments,
     hook_length_count,
+    _nested_enumerations,
     kv_choice_independence,
 )
+from segrsk.rsk import _depth_classes, _pairs
 from segrsk.tableaux import Partition
 
 M = Multisegment.of
@@ -48,6 +55,18 @@ class TestDilworth:
     def test_antichain_of_nested_segments(self):
         # pairwise incomparable under the strict double inequality
         assert dilworth_width(M((0, 3), (1, 2), (2, 2))) == 3
+
+    def test_frees_its_matching_at_return(self):
+        # the recursive augmenting search must not leave a reference cycle
+        # for the cyclic collector; with gc off, such a cycle would remain
+        m = M((0, 1), (1, 2), (1, 1), (2, 3), (0, 0))
+        gc.collect()
+        gc.disable()
+        try:
+            assert dilworth_width(m) == 2
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBrutePermissible:
@@ -90,3 +109,48 @@ class TestKvChoiceIndependence:
         for m in enumerate_multisegments(EnumerationBounds(-1, 1, 4)):
             if m:
                 assert kv_choice_independence(m), str(m)
+
+
+def _all_nested_enumerations(pairs, idxs):
+    """The class filter as an index-arithmetic all() over every permutation."""
+    return [
+        perm
+        for perm in itertools.permutations(idxs)
+        if all(
+            pairs[perm[r]][0] <= pairs[perm[r + 1]][0]
+            and pairs[perm[r]][1] >= pairs[perm[r + 1]][1]
+            for r in range(len(perm) - 1)
+        )
+    ]
+
+
+class TestNestedEnumerations:
+    def _assert_matches(self, m):
+        pairs = _pairs(m)
+        for idxs in _depth_classes(pairs).values():
+            assert _nested_enumerations(pairs, idxs) == _all_nested_enumerations(
+                pairs, idxs
+            ), str(m)
+
+    def test_matches_all_predicate_on_bounded_domain(self):
+        for m in enumerate_multisegments(EnumerationBounds(-2, 2, 4)):
+            if m:
+                self._assert_matches(m)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(0, 4)), min_size=1, max_size=6
+        )
+    )
+    def test_matches_all_predicate_on_random_inputs(self, spans):
+        self._assert_matches(M(*((b, b + n) for b, n in spans)))
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=5
+        )
+    )
+    def test_matches_all_predicate_on_any_index_set(self, pairs):
+        # not only depth classes: any pairs, any order of their indices
+        idxs = list(range(len(pairs)))[::-1]
+        assert _nested_enumerations(pairs, idxs) == _all_nested_enumerations(pairs, idxs)

@@ -107,6 +107,21 @@ class TestPairChecks:
         with pytest.raises(ShapeViolation):
             BitableauPair(InvertedSSYT.of((1,)), InvertedSSYT.of((3, 1)))
 
+    def test_shape_check_on_all_small_shape_pairs(self):
+        # entry 10 - column fills any shape as an inverted SSYT; the pair
+        # must be refused exactly when the two shapes differ
+        shapes = [mu for n in range(5) for mu in partitions_of(n)]
+        for lam, mu in itertools.product(shapes, repeat=2):
+            p, q = (
+                InvertedSSYT(tuple(tuple(10 - j for j in range(part)) for part in nu.parts))
+                for nu in (lam, mu)
+            )
+            if p.shape() == q.shape():
+                assert BitableauPair(p, q).shape() == lam
+            else:
+                with pytest.raises(ShapeViolation, match="shape mismatch"):
+                    BitableauPair(p, q)
+
 
 class TestLaddersOf:
     def test_examples(self):
