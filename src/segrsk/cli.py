@@ -54,6 +54,11 @@ TABLEAUX_MAX_OUTPUT_CELLS = 1_000_000
 # rows take 0.3 s; two 400-row components end in a RecursionError)
 SPECHT_MAX_CELLS = 10_000
 SPECHT_MAX_ROWS = 300
+# most cells (segment lengths summed over the inputs) `derive --phi`
+# accepts, checked before any weight is built: Phi pairs begin weights with
+# dense weights (100,000 cells take 0.01 s and 10 MB; 1,000,000 cells take
+# 0.09 s and 94 MB, and [0,100000000] twice ends in a MemoryError)
+PHI_MAX_CELLS = 100_000
 
 
 @dataclass
@@ -109,6 +114,11 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     lines: list[str] = []
     ms = [Multisegment.parse(text) for text in args.multisegment]
     if args.phi:
+        cells = sum(s.length() for m in ms for s in m)
+        if cells > PHI_MAX_CELLS:
+            raise PreconditionError(
+                f"inputs have {cells} cells, above the cap {PHI_MAX_CELLS}"
+            )
         phi = strings.phi_multiseg(ms)
         report.payload["phi"] = phi
         report.payload["c"] = strings.c_tuple(ms)

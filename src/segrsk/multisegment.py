@@ -2,7 +2,9 @@
 
 A segment [b,e] is the interval of root indices b..e with b <= e; the empty
 interval is unrepresentable, so operations that would produce it return None
-(segment level) or simply drop it (multisegment level).  A multisegment is a
+(segment level) or simply drop it (multisegment level).  A Segment is the
+immutable pair (b, e): it unpacks, orders lexicographically, hashes as its
+tuple, and Segment(b, e) == (b, e).  A multisegment is a
 finite multiset of segments, stored in ascending right-lexicographic order
 (end first, then begin), which makes equality structural and RSK inputs
 stable.
@@ -14,62 +16,75 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 from .errors import ParseError, PreconditionError
 from .lattice import Weight
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """Interval of root indices b..e, b <= e."""
+class Segment(tuple):
+    """Interval of root indices b..e, b <= e, as the immutable pair (b, e).
 
-    b: int
-    e: int
+    Hashing, equality and ordering are tuple's own, so they run in C:
+    segments order lexicographically (begin first) and Segment(b, e) ==
+    (b, e).
+    """
 
-    def __post_init__(self):
-        if self.b > self.e:
-            raise ValueError(f"empty segment [{self.b},{self.e}]")
+    __slots__ = ()
+
+    def __new__(cls, b: int, e: int) -> Segment:
+        if b > e:
+            raise ValueError(f"empty segment [{b},{e}]")
+        return tuple.__new__(cls, (b, e))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        # pickle and copy rebuild a segment as Segment(b, e)
+        return tuple(self)
+
+    b = property(itemgetter(0), doc="begin")
+    e = property(itemgetter(1), doc="end")
 
     def length(self) -> int:
-        return self.e - self.b + 1
+        return self[1] - self[0] + 1
 
     def lex_key(self) -> tuple[int, int]:
-        return (self.b, self.e)
+        return (self[0], self[1])
 
     def rlex_key(self) -> tuple[int, int]:
-        return (self.e, self.b)
+        return (self[1], self[0])
 
     def ll(self, other: Segment) -> bool:
         """Strict partial order: both endpoints strictly smaller."""
-        return self.b < other.b and self.e < other.e
+        return self[0] < other[0] and self[1] < other[1]
 
     def dagger(self) -> Segment:
-        return Segment(-self.e, -self.b)
+        return Segment(-self[1], -self[0])
 
     def shifted_right(self) -> Segment:
-        return Segment(self.b + 1, self.e + 1)
+        return Segment(self[0] + 1, self[1] + 1)
 
     def derived(self) -> Segment | None:
         """Shrink from the left; point segments vanish."""
-        if self.b == self.e:
+        if self[0] == self[1]:
             return None
-        return Segment(self.b + 1, self.e)
+        return Segment(self[0] + 1, self[1])
 
     def extended(self) -> Segment:
         """Extend by one to the left."""
-        return Segment(self.b - 1, self.e)
+        return Segment(self[0] - 1, self[1])
 
     def weight(self) -> Weight:
-        return Weight((i, 1) for i in range(self.b, self.e + 1))
+        return Weight((i, 1) for i in range(self[0], self[1] + 1))
+
+    def __repr__(self) -> str:
+        return f"Segment(b={self[0]!r}, e={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"[{self.b},{self.e}]"
+        return f"[{self[0]},{self[1]}]"
 
 
 # Segment.rlex_key as a C-level key function
-_RLEX = attrgetter("e", "b")
+_RLEX = itemgetter(1, 0)
 
 
 class Multisegment:
@@ -225,15 +240,18 @@ class Multisegment:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> Multisegment:
-        """Inverse of to_json(); malformed pairs raise ParseError."""
-        try:
-            pairs = [(b, e) for b, e in data]
-        except (TypeError, ValueError):
-            raise ParseError(f"bad multisegment JSON: {data!r}") from None
-        for b, e in pairs:
+        """Inverse of to_json(); anything but a list of [b, e] pairs raises ParseError."""
+        if not isinstance(data, (list, tuple)):
+            raise ParseError(f"bad multisegment JSON: {data!r}")
+        segments = []
+        for entry in data:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                raise ParseError(f"bad multisegment JSON: {data!r}")
+            b, e = entry
             if type(b) is not int or type(e) is not int or b > e:
                 raise ParseError(f"bad segment entry: [{b!r}, {e!r}]")
-        return cls(Segment(b, e) for b, e in pairs)
+            segments.append(Segment(b, e))
+        return cls(segments)
 
 
 def point_multisegment(gamma: Weight) -> Multisegment:

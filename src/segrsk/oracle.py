@@ -147,7 +147,7 @@ def brute_permissible(ladder: Multisegment, m: Multisegment) -> bool:
         raise SizeGuardExceeded(f"{len(m)} occurrences exceed {PERMISSIBLE_GUARD}")
     intervals = [(s.b, s.e) for s in reversed(ladder.segments)]
     npos = len(intervals)
-    values = sorted(set(m.segments), key=Segment.lex_key)
+    values = sorted(set(m.segments))
     for size in range(1, len(values) + 1):
         for subset in itertools.combinations(values, size):
             # lex order extends ll, so a chain reads descending right-to-left

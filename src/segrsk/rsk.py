@@ -33,7 +33,9 @@ class DepthTable:
 
 # An occurrence as its (begin, end) pair.  The peel internals take a
 # multisegment's pairs in its canonical order (end first, then begin), read
-# once per peel.
+# once per peel.  A Segment is already such a pair, but _pairs still copies
+# each into an exact tuple: CPython's fast paths for unpacking and indexing
+# skip tuple subclasses, and the depth pass does both O(n^2) times.
 Pair = tuple[int, int]
 
 
@@ -274,7 +276,8 @@ def is_permissible_pair(ladder: Multisegment, m: Multisegment) -> bool:
     # position s = 1..l walks the ladder from its ll-largest segment down
     intervals = [(s.b, s.e) for s in reversed(ladder.segments)]
     npos = len(intervals)
-    values = sorted(set(m.segments), key=Segment.lex_key)
+    # natural tuple order is lex order (begin first), which extends ll
+    values = sorted(set(m.segments))
     below: dict[Segment, list[Segment]] = {
         x: [y for y in values if y.ll(x)] for x in values
     }

@@ -134,13 +134,8 @@ def _phi_pairs(
 
 def _count_adjacent(m1: Multisegment, m2: Multisegment, offset: int) -> int:
     """Occurrence pairs with b(first) = e(second) + offset."""
-    total = 0
-    for s1 in m1.segments:
-        b = s1.b
-        for s2 in m2.segments:
-            if b == s2.e + offset:
-                total += 1
-    return total
+    shifted_ends = [s[1] + offset for s in m2.segments]
+    return sum(shifted_ends.count(s[0]) for s in m1.segments)
 
 
 def c_pair(n1: Multisegment, n2: Multisegment) -> int:

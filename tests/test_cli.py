@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,17 @@ class TestDeriveCommand:
         code, out, _ = run_cli(capsys, "derive", "--phi", "[2,2]", "[1,1]")
         assert code == 0
         assert out.strip() == "phi: 1"
+
+    def test_phi_cell_cap_is_inclusive(self, capsys, monkeypatch):
+        # 3 + 1 + 2 cells; the weights are never built above the cap
+        argv = ("derive", "--phi", "[0,2]", "[1,1]", "[4,5]")
+        monkeypatch.setattr(cli, "PHI_MAX_CELLS", 6)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "PHI_MAX_CELLS", 5)
+        monkeypatch.setattr(cli.strings, "phi_multiseg", None)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "precondition error: inputs have 6 cells, above the cap 5\n"
 
     def test_bz_support_precondition(self, capsys):
         code, _, _ = run_cli(capsys, "derive", "--bz", "2", "[1,3]")
@@ -571,16 +583,24 @@ class TestCheckCommand:
         assert "segrsk check --suite combi" in out  # reproduction command line
 
 
-def _run_module(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
+def _run_module(
+    *argv: str, timeout: float | None = None, address_space: int | None = None
+) -> subprocess.CompletedProcess:
+    """Run `python -m segrsk argv`, capping the child's address space if asked."""
     # the child imports segrsk from the same tree as this test process
     src = str(Path(segrsk.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def cap_child():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, "-m", "segrsk", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
+        preexec_fn=cap_child if address_space is not None else None,
     )
 
 
@@ -604,16 +624,31 @@ def test_bz_cost_does_not_grow_with_segment_length():
     assert proc.stdout == "[1,100000000]\n"
 
 
-# The argv grammar of the fuzz test below.  Segments stay short: `derive
-# --phi` builds the weights of its inputs point by point, so a segment of
-# length L costs O(L) memory.  Partition parts, shapes and check bounds may
-# be huge: the specht, tableaux and check size caps refuse them first.
+def test_phi_refuses_long_segments_before_building_weights():
+    # the dense weights of two 10^8-cell inputs would not fit in 1.5 GB
+    proc = _run_module(
+        "derive", "--phi", "[0,100000000]", "[0,100000000]",
+        timeout=10, address_space=1_500_000_000,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"precondition error: inputs have 200000002 cells, above the cap {cli.PHI_MAX_CELLS}\n"
+    )
+
+
+# The argv grammar of the fuzz test below.  Segments, partition parts,
+# shapes and check bounds may be huge: rsk and derive read segment
+# endpoints, except `derive --phi`, whose cell cap refuses long segments
+# first, as the specht, tableaux and check size caps refuse the rest.
 _junk = st.sampled_from(
     ["", " ", "x", "-", "--", "--bogus", "[", "[2,1]", "[1,2", "[a,b]", "[1,2]+", "1,,2", "|", "3,1|", "0"]
 ) | st.text(max_size=4)
 _huge = st.sampled_from(["100000000", "-100000000", str(10**30)])
 _small_int = st.integers(-3, 3).map(str)
-_segment = st.tuples(st.integers(-3, 3), st.integers(0, 3)).map(lambda p: f"[{p[0]},{p[0] + p[1]}]")
+_segment = st.tuples(st.integers(-3, 3), st.integers(0, 3)).map(
+    lambda p: f"[{p[0]},{p[0] + p[1]}]"
+) | st.just("[0,100000000]")
 _multisegment = st.just("0") | st.lists(_segment, min_size=1, max_size=5).map("+".join)
 _partition = st.lists(st.integers(1, 3), max_size=3).map(
     lambda parts: ",".join(map(str, sorted(parts, reverse=True)))

@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 import random
 
 import pytest
@@ -21,7 +24,7 @@ multisegments = st.builds(Multisegment, st.lists(segments, max_size=6))
 
 class TestSegment:
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^empty segment \[2,1\]$"):
             Segment(2, 1)
 
     def test_orders(self):
@@ -36,11 +39,46 @@ class TestSegment:
         assert not (d1.ll(d2) and d2.ll(d1))
         assert not d1.ll(d1)
 
+    def test_pickle_and_copy_round_trip(self):
+        s = Segment(-3, 4)
+        for t in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+            assert t == s and type(t) is Segment and (t.b, t.e) == (-3, 4)
+
+    def test_is_its_pair(self):
+        s = Segment(1, 3)
+        assert s == (1, 3) and hash(s) == hash((1, 3))
+        b, e = s
+        assert (b, e) == (s.b, s.e) == (1, 3)
+        assert repr(s) == "Segment(b=1, e=3)"
+        assert str(s) == "[1,3]"
+
+    @given(segments, segments)
+    def test_equal_segments_hash_equal(self, d1, d2):
+        twin = Segment(d1.b, d1.e)
+        assert twin == d1 and hash(twin) == hash(d1)
+        assert (d1 == d2) == (d1.lex_key() == d2.lex_key())
+
+    @given(st.lists(segments, max_size=8))
+    def test_sorted_is_lex_order(self, segs):
+        assert sorted(segs) == sorted(segs, key=Segment.lex_key)
+
+    def test_hash_eq_and_order_are_tuple_slots(self):
+        # a Python-level dunder here would put every memo key, Counter and
+        # Multisegment hash back on the interpreter
+        for name in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(Segment, name) is getattr(tuple, name), name
+
 
 class TestCanonicalOrder:
     def test_sorted_rlex(self):
         m = Multisegment.of((2, 2), (1, 3), (1, 2))
         assert [s.rlex_key() for s in m] == sorted(s.rlex_key() for s in m)
+
+    def test_matches_explicit_end_begin_sort(self):
+        for m in enumerate_multisegments(EnumerationBounds(-2, 2, 4)):
+            shuffled = list(reversed(m.segments))
+            expected = sorted(shuffled, key=lambda s: (s.e, s.b))
+            assert list(Multisegment(shuffled).segments) == expected
 
     @given(multisegments, multisegments)
     def test_sum_is_commutative(self, m1, m2):
@@ -191,6 +229,40 @@ class TestPointMultisegment:
             point_multisegment(-1 * alpha(2))
 
 
+# endpoints far beyond the small strategies above, for the text and JSON forms
+wide_segments = st.builds(
+    lambda b, length: Segment(b, b + length),
+    st.integers(-(10**12), 10**12),
+    st.integers(0, 10**6),
+)
+wide_multisegments = st.builds(Multisegment, st.lists(wide_segments, max_size=8))
+
+_not_an_int = (
+    st.booleans()
+    | st.floats()
+    | st.text(max_size=3)
+    | st.none()
+    | st.lists(st.integers(), max_size=2)
+)
+_not_a_list = (
+    st.integers()
+    | st.booleans()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.none()
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+)
+_bad_entries = st.one_of(
+    st.tuples(_not_an_int, st.integers()).map(list),
+    st.tuples(st.integers(), _not_an_int).map(list),
+    st.lists(st.integers(), min_size=1, max_size=1),
+    st.lists(st.integers(), min_size=3, max_size=4),
+    # b > e
+    st.tuples(st.integers(1, 10**9), st.integers(-(10**9), 0)).map(list),
+    _not_a_list,
+)
+
+
 class TestTextFormat:
     def test_parse(self):
         assert Multisegment.parse("[1,2]+[2,3]") == Multisegment.of((1, 2), (2, 3))
@@ -204,10 +276,24 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             Multisegment.parse("")
 
-    @given(multisegments)
+    @given(multisegments | wide_multisegments)
     def test_round_trip(self, m):
         assert Multisegment.parse(str(m)) == m
-        assert Multisegment.from_json(m.to_json()) == m
+        assert Multisegment.from_json(json.loads(json.dumps(m.to_json()))) == m
+
+    @given(
+        st.lists(wide_segments.map(list), max_size=3),
+        _bad_entries,
+        st.lists(wide_segments.map(list), max_size=3),
+    )
+    def test_malformed_entry_raises_parse_error(self, before, bad, after):
+        with pytest.raises(ParseError):
+            Multisegment.from_json(before + [bad] + after)
+
+    @given(_not_a_list)
+    def test_non_list_raises_parse_error(self, data):
+        with pytest.raises(ParseError):
+            Multisegment.from_json(data)
 
     @pytest.mark.parametrize(
         "data",
