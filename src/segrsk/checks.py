@@ -112,11 +112,11 @@ def bounded_instances(
     return instances, exhaustive_size
 
 
-def _repro(suite: str, bounds: EnumerationBounds, seed: int) -> str:
+def _repro(suite: str, bounds: EnumerationBounds, seed: int, sample: int) -> str:
     return (
         f"segrsk check --suite {suite} --min {bounds.support_min} "
         f"--max {bounds.support_max} --max-segments {bounds.max_segments} "
-        f"--seed {seed}"
+        f"--seed {seed} --sample {sample}"
     )
 
 
@@ -129,7 +129,7 @@ def suite_combi(
     t = max(abs(bounds.support_min), abs(bounds.support_max))
     seq = strings.AdmissibleSequence.bz(t)
     idx = seq.indices
-    repro = _repro("combi", bounds, seed)
+    repro = _repro("combi", bounds, seed, sample)
     # BZ coordinates, weights and checked betas are per-element data: build
     # and validate them once, outside the tuple loops
     data = {}
@@ -154,27 +154,16 @@ def suite_combi(
                 f"string-form Phi mismatch on ({', '.join(map(str, ms))}) | {repro}"
             )
 
-    for m in domain:
-        check((m,))
-    result.exhaustive_through = 1
-    if len(domain) ** 2 <= EXHAUSTIVE_TUPLES:
-        for pair in itertools.product(domain, repeat=2):
-            check(pair)
-        result.exhaustive_through = 2
-    else:
-        rng = random.Random(seed)
-        for _ in range(sample):
-            check((rng.choice(domain), rng.choice(domain)))
-        result.sampled += sample
-    if len(domain) ** 3 <= EXHAUSTIVE_TUPLES:
-        for triple in itertools.product(domain, repeat=3):
-            check(triple)
-        result.exhaustive_through = 3
-    else:
-        rng = random.Random(seed + 1)
-        for _ in range(sample):
-            check((rng.choice(domain), rng.choice(domain), rng.choice(domain)))
-        result.sampled += sample
+    for arity in (1, 2, 3):
+        if arity == 1 or len(domain) ** arity <= EXHAUSTIVE_TUPLES:
+            for ms in itertools.product(domain, repeat=arity):
+                check(ms)
+            result.exhaustive_through = arity
+        else:
+            rng = random.Random(seed + arity - 2)
+            for _ in range(sample):
+                check(tuple(rng.choice(domain) for _ in range(arity)))
+            result.sampled += sample
     return result
 
 
@@ -183,7 +172,7 @@ def suite_rsk(
 ) -> SuiteResult:
     """RSK well-formedness, width, permissibility, injectivity, bitableaux."""
     result = SuiteResult("rsk")
-    repro = _repro("rsk", bounds, seed)
+    repro = _repro("rsk", bounds, seed, sample)
     instances, exhaustive_size = bounded_instances(bounds, seed, sample)
     result.notes.append(f"exhaustive through size {exhaustive_size}")
     result.exhaustive_through = exhaustive_size
@@ -263,7 +252,7 @@ def suite_rsk(
     return result
 
 
-def suite_kv(bounds: EnumerationBounds, seed: int = 0) -> SuiteResult:
+def suite_kv(bounds: EnumerationBounds, seed: int = 0, sample: int = 10_000) -> SuiteResult:
     """Peeling output is independent of the depth-class enumeration choice."""
     capped = EnumerationBounds(
         bounds.support_min,
@@ -271,7 +260,8 @@ def suite_kv(bounds: EnumerationBounds, seed: int = 0) -> SuiteResult:
         min(bounds.max_segments, oracle.KV_GUARD - 1),
     )
     result = SuiteResult("kv", exhaustive_through=capped.max_segments)
-    repro = _repro("rsk", bounds, seed)
+    # the domain is exhausted: seed and sample only complete the rsk rerun line
+    repro = _repro("rsk", bounds, seed, sample)
     for m in enumerate_multisegments(capped):
         if not m:
             continue
@@ -286,7 +276,7 @@ def suite_strings(
 ) -> SuiteResult:
     """Derivative coherence and BZ-string additivity on the bounded domain."""
     result = SuiteResult("strings")
-    repro = _repro("strings", bounds, seed)
+    repro = _repro("strings", bounds, seed, sample)
     t = max(abs(bounds.support_min), abs(bounds.support_max))
     instances, exhaustive_size = bounded_instances(bounds, seed, sample)
     result.notes.append(f"exhaustive through size {exhaustive_size}")
@@ -321,7 +311,8 @@ def suite_strings(
             )
     rng = random.Random(seed)
     nonempty_domain = instances or [Multisegment()]
-    # each instance's BZ vector, computed once
+    # each instance's BZ vector, computed once: recomputing them made a round
+    # of this suite 14 % slower (0.074 -> 0.084 s)
     bz_vector = lru_cache(maxsize=None)(lambda x: strings.bz_string(x, t)[1])
     pairs = min(sample, 2000)
     result.sampled += pairs
@@ -338,12 +329,6 @@ def suite_strings(
     return result
 
 
-# partition sizes whose lists partitions_of keeps; the suites ask for sizes
-# up to their size cap (8 in the acceptance run)
-PARTITIONS_CACHE_SIZE = 24
-
-
-@lru_cache(maxsize=PARTITIONS_CACHE_SIZE)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, reverse-lexicographic."""
     if n == 0:
@@ -371,13 +356,14 @@ def iter_multicharges(cmin: int, cmax: int, max_level: int) -> Iterator[specht.M
 
 def iter_multipartitions(level: int, max_total: int) -> Iterator[specht.Multipartition]:
     """All multipartitions with the given level and total size at most max_total."""
+    by_size = [partitions_of(n) for n in range(max_total + 1)]
 
     def build(i: int, budget: int, acc: tuple[Partition, ...]) -> Iterator[tuple[Partition, ...]]:
         if i == level:
             yield acc
             return
         for n in range(budget + 1):
-            for mu in partitions_of(n):
+            for mu in by_size[n]:
                 yield from build(i + 1, budget - n, acc + (mu,))
 
     for components in build(0, max_total, ()):
@@ -491,7 +477,7 @@ def size_plan(
     pool = width * (width + 1) // 2
     plan: dict[str, tuple[int, int]] = {}
     if name in ("combi", "all"):
-        domain = comb(pool + k, k)
+        domain = bounds.count()
         pairs = domain**2 if domain**2 <= EXHAUSTIVE_TUPLES else sample
         triples = domain**3 if domain**3 <= EXHAUSTIVE_TUPLES else sample
         plan["combi"] = (pool + domain, domain + pairs + triples)
@@ -519,15 +505,17 @@ def run_suite(
 ) -> list[SuiteResult]:
     """Dispatch for the check command; 'all' runs every suite.
 
-    A level cap below 1 or a negative sample size would check nothing and
-    still pass, so both are preconditions, checked before any suite runs;
-    so are the size rules of size_plan.
+    A level cap below 1, a negative sample size or a suite with no case to
+    walk would check nothing and still pass, so all are preconditions,
+    checked before any suite runs; so are the size rules of size_plan.
     """
     if max_level < 1:
         raise PreconditionError(f"multicharge level cap must be at least 1, got {max_level}")
     if sample < 0:
         raise PreconditionError(f"sample size must be non-negative, got {sample}")
     for suite, (held, walked) in size_plan(name, bounds, sample, max_level).items():
+        if walked == 0:
+            raise PreconditionError(f"{suite} would check no case at these bounds")
         if held > CHECK_MAX_HELD:
             raise PreconditionError(
                 f"{suite} would hold {held} multisegments, above the cap {CHECK_MAX_HELD}"
@@ -548,7 +536,7 @@ def run_suite(
         timed(lambda: suite_combi(bounds, seed, sample))
     if name in ("rsk", "all"):
         timed(lambda: suite_rsk(bounds, seed, sample))
-        timed(lambda: suite_kv(bounds, seed))
+        timed(lambda: suite_kv(bounds, seed, sample))
         timed(suite_tableaux)
     if name in ("strings", "all"):
         timed(lambda: suite_strings(bounds, seed, sample))

@@ -53,9 +53,10 @@ class EnumerationBounds:
         )
 
     def count(self) -> int:
-        """Number of multisegments the bounds enumerate."""
-        n = len(self.segments())
-        return sum(comb(n + k - 1, k) for k in range(self.max_segments + 1))
+        """Multisets of at most k of the n pool segments: sum_{j<=k} C(n+j-1, j) = C(n+k, k)."""
+        width = self.support_max - self.support_min + 1
+        pool = width * (width + 1) // 2
+        return comb(pool + self.max_segments, self.max_segments)
 
 
 def enumerate_multisegments(bounds: EnumerationBounds) -> Iterator[Multisegment]:

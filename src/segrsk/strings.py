@@ -16,16 +16,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvariantViolation, ParseError, PreconditionError
 from .lattice import LaurentPoly, Weight, cartan_form, ell_form
 from .multisegment import Multisegment
 
 StringVector = tuple[int, ...]
-
-# BZ sequences kept by AdmissibleSequence.bz; each holds 2t + 1 indices
-BZ_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,7 +36,6 @@ class AdmissibleSequence:
                 raise ValueError(f"equal neighbours at position {r + 1}")
 
     @classmethod
-    @lru_cache(maxsize=BZ_CACHE_SIZE)
     def bz(cls, t: int) -> AdmissibleSequence:
         """The BZ sequence (t, t-1, ..., -t)."""
         _check_bz_parameter(t)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ParseError, PreconditionError, ShapeViolation
 from .lattice import Weight
@@ -218,15 +217,16 @@ def gamma_descriptor(m: Multisegment, derived: bool = False) -> GammaDescriptor:
     return GammaDescriptor(ladders_of(pq), a_invariant(shape) - c_count(pq))
 
 
-# distinct shapes a bounded enumeration revisits; sizes up to 8 have 67
-FILLINGS_CACHE_SIZE = 256
+def standard_tableaux(shape: Partition) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All standard fillings of the shape, in lexicographic row-major order.
 
-
-@lru_cache(maxsize=FILLINGS_CACHE_SIZE)
-def _standard_fillings(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    A filling is a tuple of rows holding 1..n, increasing along rows and
+    columns.
+    """
     # depth-first over the values 1..n with an explicit stack, so the depth
     # is not bounded by the recursion limit: tried[v - 1] is the row value v
     # sits in, or the next row to try once v has been taken out again
+    parts = shape.parts
     n = sum(parts)
     if n == 0:
         return ((),)
@@ -259,15 +259,6 @@ def _standard_fillings(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], .
             tried.append(0)
     results.sort(key=lambda t: tuple(v for row in t for v in row))
     return tuple(results)
-
-
-def standard_tableaux(shape: Partition) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All standard fillings of the shape, in lexicographic row-major order.
-
-    A filling is a tuple of rows holding 1..n, increasing along rows and
-    columns.
-    """
-    return _standard_fillings(shape.parts)
 
 
 def residue_sequence(k: int, tableau: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

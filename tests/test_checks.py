@@ -2,6 +2,7 @@
 and the size rules run_suite checks before any suite runs."""
 
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -11,11 +12,9 @@ from segrsk import checks, oracle, rsk
 from segrsk.checks import (
     CHECK_MAX_CASES,
     CHECK_MAX_HELD,
-    PARTITIONS_CACHE_SIZE,
     bounded_instances,
     iter_multicharges,
     iter_multipartitions,
-    partitions_of,
     run_suite,
     size_plan,
     suite_rsk,
@@ -201,13 +200,35 @@ class TestSuiteMutations:
         assert all("RSK(extend(" in f for f in result.failures)
 
 
-def test_partitions_cache_stays_bounded():
-    partitions_of.cache_clear()
-    for n in range(PARTITIONS_CACHE_SIZE + 8):
-        assert partitions_of(n) == partitions_of.__wrapped__(n)
-    info = partitions_of.cache_info()
-    assert info.maxsize == PARTITIONS_CACHE_SIZE
-    assert info.currsize == PARTITIONS_CACHE_SIZE
+@pytest.mark.parametrize("exhaustive_tuples", [10**6, 20, 3])
+def test_combi_tuple_order(monkeypatch, exhaustive_tuples):
+    """suite_combi checks singles, then pairs, then triples: each arity
+    exhausted while its tuples fit EXHAUSTIVE_TUPLES, else drawn from
+    Random(seed) for pairs and Random(seed + 1) for triples."""
+    monkeypatch.setattr(checks, "EXHAUSTIVE_TUPLES", exhaustive_tuples)
+    bounds, seed, sample = EnumerationBounds(0, 1, 1), 5, 7
+    seen = []
+    true_c_tuple = checks.strings.c_tuple
+
+    def recording(ms):
+        seen.append(tuple(ms))
+        return true_c_tuple(ms)
+
+    monkeypatch.setattr(checks.strings, "c_tuple", recording)
+    result = checks.suite_combi(bounds, seed, sample)
+    assert result.ok
+    domain = list(enumerate_multisegments(bounds))
+    expected = [(m,) for m in domain]
+    rngs = {2: random.Random(seed), 3: random.Random(seed + 1)}
+    for arity, rng in rngs.items():
+        if len(domain) ** arity <= exhaustive_tuples:
+            expected += itertools.product(domain, repeat=arity)
+        else:
+            expected += [
+                tuple(rng.choice(domain) for _ in range(arity)) for _ in range(sample)
+            ]
+    assert seen == expected
+    assert result.cases == len(expected)
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -254,7 +275,25 @@ class TestSizePlan:
     )
     def test_counts_match_the_suites(self, bounds, sample, level):
         plan = size_plan("all", bounds, sample, level)
-        results = {r.name: r for r in run_suite("all", bounds, 1, sample, level)}
+        if any(walked == 0 for _, walked in plan.values()):
+            # run_suite refuses a suite with no case to walk (rsk and kv at
+            # zero segments), so the plan is compared with each suite
+            with pytest.raises(PreconditionError, match="would check no case"):
+                run_suite("all", bounds, 1, sample, level)
+            results = {
+                r.name: r
+                for r in (
+                    checks.suite_combi(bounds, 1, sample),
+                    suite_rsk(bounds, 1, sample),
+                    checks.suite_kv(bounds, 1, sample),
+                    suite_strings(bounds, 1, sample),
+                    checks.suite_specht(
+                        bounds.support_min, bounds.support_max, level, bounds.max_segments, 1
+                    ),
+                )
+            }
+        else:
+            results = {r.name: r for r in run_suite("all", bounds, 1, sample, level)}
         assert set(plan) == set(results) - {"tableaux"}
         for name, (_, walked) in plan.items():
             if name == "specht":
@@ -329,6 +368,9 @@ class TestSizePlan:
             ("rsk", EnumerationBounds(-4, 4, 6), 10, 3, "kv would check"),
             ("specht", EnumerationBounds(-2, 2, 16), 10, 3, "specht would check"),
             ("specht", EnumerationBounds(0, 0, 0), 10, CHECK_MAX_CASES + 1, "specht would check"),
+            # a suite with nothing to walk would pass without checking
+            ("rsk", EnumerationBounds(-2, 2, 0), 10_000, 3, "rsk would check no case"),
+            ("strings", EnumerationBounds(0, 0, 0), 0, 3, "strings would check no case"),
         ],
     )
     def test_rules_fire_before_any_suite_runs(

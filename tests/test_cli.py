@@ -3,6 +3,7 @@ import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -403,10 +404,30 @@ class TestExitCodeTable:
 
 
 class TestCheckCommand:
-    def test_trivial_domain_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "check", "--suite", "all", "--max-segments", "0")
-        assert code == 0
-        assert "FAIL" not in out
+    @pytest.mark.parametrize(
+        "argv, suite",
+        [
+            (("--suite", "rsk", "--max-segments", "0"), "rsk"),
+            (("--suite", "all", "--max-segments", "0"), "rsk"),
+            (("--suite", "strings", "--min", "0", "--max", "0", "--max-segments", "0",
+              "--sample", "0"), "strings"),
+        ],
+        ids=["rsk", "all", "strings"],
+    )
+    def test_trivial_domain_is_refused(self, capsys, monkeypatch, argv, suite):
+        # a suite with no case to walk would pass without checking anything
+        for name in ("suite_combi", "suite_rsk", "suite_kv", "suite_strings", "suite_specht"):
+            monkeypatch.setattr(checks, name, None)
+        message = f"precondition error: {suite} would check no case at these bounds"
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert (code, out, err.splitlines()) == (2, "", [message])
+        code, out, _ = run_cli(capsys, "check", *argv, "--json")
+        assert code == 2
+        assert json.loads(out) == {
+            "status": "precondition_error",
+            "payload": {},
+            "diagnostics": [message],
+        }
 
     def test_small_combi(self, capsys):
         code, out, _ = run_cli(
@@ -581,6 +602,47 @@ class TestCheckCommand:
         assert code == 3
         assert "counterexample" in out
         assert "segrsk check --suite combi" in out  # reproduction command line
+
+
+class TestReproductionLine:
+    """A failing check prints a command line that reruns the same check."""
+
+    @pytest.mark.parametrize(
+        "argv, target, broken",
+        [
+            (("--suite", "combi", "--min", "0", "--max", "1", "--max-segments", "1",
+              "--seed", "3", "--sample", "7"), "strings.phi_multiseg", lambda ms: None),
+            (("--suite", "rsk", "--min", "-1", "--max", "1", "--max-segments", "2",
+              "--seed", "4", "--sample", "13"), "oracle.dilworth_width", lambda m: -1),
+            (("--suite", "rsk", "--min", "-1", "--max", "1", "--max-segments", "2",
+              "--seed", "5", "--sample", "14000"), "oracle.kv_choice_independence",
+             lambda m: False),
+            (("--suite", "strings", "--min", "-1", "--max", "1", "--max-segments", "2",
+              "--seed", "6", "--sample", "5"), "oracle.reference_bz_derivative",
+             lambda m, t: None),
+            (("--suite", "specht", "--min", "-1", "--max", "1", "--max-segments", "2",
+              "--seed", "7", "--level", "2"), "specht.column_removal_check",
+             lambda kappa, mp: False),
+        ],
+    )
+    def test_parses_back_to_the_run(self, capsys, monkeypatch, argv, target, broken):
+        module, name = target.split(".")
+        monkeypatch.setattr(getattr(checks, module), name, broken)
+        code, out, _ = run_cli(capsys, "check", *argv)
+        assert code == 3
+        lines = [line for line in out.splitlines() if "counterexample" in line]
+        assert lines
+        parser = cli.build_parser()
+        run = parser.parse_args(["check", *argv])
+        fields = ["suite", "min", "max", "max_segments", "seed"]
+        # specht does not sample; its line carries the level cap instead
+        fields.append("level" if run.suite == "specht" else "sample")
+        for line in lines:
+            words = shlex.split(line.rsplit(" | ", 1)[1])
+            assert words[0] == "segrsk"
+            printed = parser.parse_args(words[1:])
+            for f in fields:
+                assert getattr(printed, f) == getattr(run, f), (f, line)
 
 
 def _run_module(

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -31,8 +32,20 @@ class TestEnumeration:
         ]
 
     def test_count_formula_matches(self):
-        bounds = EnumerationBounds(-1, 1, 3)
-        assert bounds.count() == len(list(enumerate_multisegments(bounds)))
+        for bounds in (
+            EnumerationBounds(-1, 1, 3),
+            EnumerationBounds(0, 0, 4),
+            EnumerationBounds(-2, 1, 0),
+            EnumerationBounds(0, 3, 2),
+        ):
+            assert bounds.count() == len(list(enumerate_multisegments(bounds)))
+
+    def test_count_builds_no_pool(self, monkeypatch):
+        # the pool of 2,000,001 points holds about 2e12 segments
+        monkeypatch.setattr(EnumerationBounds, "segments", None)
+        width = 2 * 10**6 + 1
+        pool = width * (width + 1) // 2
+        assert EnumerationBounds(-(10**6), 10**6, 3).count() == math.comb(pool + 3, 3)
 
     def test_no_duplicates(self):
         seen = list(enumerate_multisegments(EnumerationBounds(-1, 1, 2)))

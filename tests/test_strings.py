@@ -10,7 +10,6 @@ from segrsk.lattice import LaurentPoly, Weight, cartan_form
 from segrsk.multisegment import Multisegment, point_multisegment
 from segrsk.oracle import EnumerationBounds, enumerate_multisegments
 from segrsk.strings import (
-    BZ_CACHE_SIZE,
     AdmissibleSequence,
     MultiplicityTable,
     beta_of,
@@ -45,14 +44,6 @@ class TestAdmissibleSequence:
 
     def test_bz(self):
         assert AdmissibleSequence.bz(2).indices == (2, 1, 0, -1, -2)
-
-    def test_bz_cache_stays_bounded(self):
-        cached = AdmissibleSequence.bz.__func__
-        for t in range(2 * BZ_CACHE_SIZE):
-            assert AdmissibleSequence.bz(t).indices == tuple(range(t, -t - 1, -1))
-        info = cached.cache_info()
-        assert info.maxsize == BZ_CACHE_SIZE
-        assert info.currsize <= BZ_CACHE_SIZE
 
 
 class TestBetaOf:

@@ -221,13 +221,6 @@ class TestStandardTableaux:
         fillings = standard_tableaux(Partition.of(2, 1))
         assert fillings == (((1, 2), (3,)), ((1, 3), (2,)))
 
-    def test_cache_bounded(self):
-        from segrsk import tableaux
-
-        info = tableaux._standard_fillings.cache_info()
-        assert info.maxsize == tableaux.FILLINGS_CACHE_SIZE
-        assert info.currsize <= tableaux.FILLINGS_CACHE_SIZE
-
     def test_matches_brute_force_in_order(self):
         # every standard filling of shapes up to 7 cells, row-major
         # permutations filtered and sorted
