@@ -16,7 +16,6 @@ from .errors import (
 from .lattice import DominantWeight, LaurentPoly, Weight, cartan_form, ell_form
 from .multisegment import Multisegment, Segment, point_multisegment
 from .rsk import (
-    DepthTable,
     LadderSequence,
     bitableau_of,
     depth_function,
@@ -45,7 +44,6 @@ from .strings import (
     beta_of,
     bz_derivative,
     bz_string,
-    c_pair,
     c_prime_tuple,
     c_tuple,
     phi_multiseg,
@@ -70,7 +68,6 @@ from .tableaux import (
 __all__ = [
     "AdmissibleSequence",
     "BitableauPair",
-    "DepthTable",
     "DominantWeight",
     "GammaDescriptor",
     "InvariantViolation",
@@ -94,7 +91,6 @@ __all__ = [
     "bz_derivative",
     "bz_string",
     "c_count",
-    "c_pair",
     "c_prime_tuple",
     "c_tuple",
     "cartan_form",

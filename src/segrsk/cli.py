@@ -314,22 +314,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_der = sub.add_parser("derive", help="derivatives and descriptors")
     p_der.add_argument("multisegment", nargs="+", help="one or more multisegments")
-    one_derivative = p_der.add_mutually_exclusive_group()
-    one_derivative.add_argument(
-        "--bz", type=int, metavar="T", help="BZ derivative along (T..-T), T >= 0"
-    )
-    one_derivative.add_argument(
-        "--single", type=int, metavar="J", help="single-index derivative"
-    )
-    p_der.add_argument("--phi", action="store_true", help="shift constant of the tuple")
-    p_der.add_argument(
+    # one mode per call; --derived selects the derived descriptor, alone or
+    # with --gamma-descriptor, and is checked against the rest in main
+    mode = p_der.add_mutually_exclusive_group()
+    mode.add_argument("--phi", action="store_true", help="shift constant of the tuple")
+    mode.add_argument(
         "--gamma-descriptor", action="store_true", help="ladders and shift of the descriptor"
     )
+    mode.add_argument(
+        "--bz", type=int, metavar="T", help="BZ derivative along (T..-T), T >= 0"
+    )
+    mode.add_argument("--single", type=int, metavar="J", help="single-index derivative")
     p_der.add_argument(
         "--derived", action="store_true", help="use the derived descriptor (P',Q)"
     )
     p_der.add_argument("--json", action="store_true")
-    p_der.set_defaults(func=_cmd_derive)
+    p_der.set_defaults(func=_cmd_derive, parser=p_der)
 
     p_sp = sub.add_parser("specht", help="multipartition dictionary")
     p_sp.add_argument("--charge", required=True, help='multicharge, e.g. "2,1,-1"')
@@ -374,6 +374,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "derived", False):
+            for flag, given in (
+                ("--phi", args.phi),
+                ("--bz", args.bz is not None),
+                ("--single", args.single is not None),
+            ):
+                if given:
+                    args.parser.error(f"argument --derived: not allowed with argument {flag}")
     except SystemExit as exc:
         # argparse already printed usage and message on stderr
         message = getattr(exc, "usage_error", None)

@@ -54,10 +54,6 @@ class _SparseMap:
         w._coeffs = tuple(sorted(coeffs.items()))
         return w
 
-    @classmethod
-    def zero(cls) -> _SparseMap:
-        return cls()
-
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._coeffs
 
@@ -175,7 +171,7 @@ class Weight(_SparseMap):
         """Inverse of str(); accepts e.g. "2*a(1)+a(3)" or "0"."""
         text = text.strip().replace(" ", "")
         if text == "0":
-            return cls.zero()
+            return cls()
         # a separating '-' always follows the ')' closing the previous term
         parts = text.replace(")-", ")+-").split("+")
         coeffs = []
@@ -228,8 +224,6 @@ class DominantWeight(_SparseMap):
         """Sum of fundamental weights at the given indices (with repetition)."""
         return cls((i, 1) for i in indices)
 
-    level = _SparseMap.height
-
 
 class LaurentPoly(_SparseMap):
     """Laurent polynomial in q with integer coefficients, stored sparsely.
@@ -263,9 +257,6 @@ class LaurentPoly(_SparseMap):
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by q**k."""
         return self._of_canonical({e + k: c for e, c in self._map.items()})
-
-    eval_at_one = _SparseMap.height
-    is_nonnegative = _SparseMap.is_positive
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.terms())!r})"

@@ -47,12 +47,6 @@ class Segment(tuple):
     def length(self) -> int:
         return self[1] - self[0] + 1
 
-    def lex_key(self) -> tuple[int, int]:
-        return (self[0], self[1])
-
-    def rlex_key(self) -> tuple[int, int]:
-        return (self[1], self[0])
-
     def ll(self, other: Segment) -> bool:
         """Strict partial order: both endpoints strictly smaller."""
         return self[0] < other[0] and self[1] < other[1]
@@ -83,7 +77,7 @@ class Segment(tuple):
         return f"[{self[0]},{self[1]}]"
 
 
-# Segment.rlex_key as a C-level key function
+# the right-lexicographic key (end, begin), as a C-level key function
 _RLEX = itemgetter(1, 0)
 
 
@@ -113,10 +107,6 @@ class Multisegment:
         return m
 
     @classmethod
-    def empty(cls) -> Multisegment:
-        return cls()
-
-    @classmethod
     def of(cls, *pairs: tuple[int, int]) -> Multisegment:
         return cls(Segment(b, e) for b, e in pairs)
 
@@ -125,7 +115,7 @@ class Multisegment:
         """Parse "[b,e]+[b,e]+..."; "0" is the empty multisegment."""
         text = text.strip().replace(" ", "")
         if text == "0":
-            return cls.empty()
+            return cls()
         if not text:
             raise ParseError("empty multisegment text (use '0')")
         segments = []

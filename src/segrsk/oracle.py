@@ -100,7 +100,7 @@ def reference_depths(segs: Sequence[Segment]) -> list[int]:
     """
     n = len(segs)
     # process in decreasing lex order so every ll-larger segment is done first
-    order = sorted(range(n), key=lambda i: segs[i].lex_key(), reverse=True)
+    order = sorted(range(n), key=segs.__getitem__, reverse=True)
     depth = [0] * n
     for i in order:
         best = -1

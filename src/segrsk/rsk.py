@@ -21,16 +21,6 @@ from .multisegment import Multisegment, Segment
 from .tableaux import BitableauPair, InvertedSSYT, ladders_of
 
 
-@dataclass(frozen=True, slots=True)
-class DepthTable:
-    """Depth per occurrence, aligned with the canonical segment order."""
-
-    depths: tuple[int, ...]
-
-    def max_depth(self) -> int:
-        return max(self.depths)
-
-
 # An occurrence as its (begin, end) pair.  The peel internals take a
 # multisegment's pairs in its canonical order (end first, then begin), read
 # once per peel.  A Segment is already such a pair, but _pairs still copies
@@ -59,10 +49,11 @@ def _depth_list(pairs: Sequence[Pair]) -> list[int]:
     return depth
 
 
-def depth_function(m: Multisegment) -> DepthTable:
+def depth_function(m: Multisegment) -> tuple[int, ...]:
+    """Depth per occurrence, aligned with the canonical segment order."""
     if not m:
         raise PreconditionError("depth of the empty multisegment is undefined")
-    return DepthTable(tuple(_depth_list(_pairs(m))))
+    return tuple(_depth_list(_pairs(m)))
 
 
 def _depth_classes(pairs: Sequence[Pair]) -> dict[int, list[int]]:

@@ -49,9 +49,6 @@ class Multicharge:
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
-    def level(self) -> int:
-        return len(self.charges)
-
     def dagger(self) -> Multicharge:
         return Multicharge(tuple(-k for k in reversed(self.charges)))
 
@@ -75,19 +72,12 @@ class Multipartition:
     components: tuple[Partition, ...]
 
     @classmethod
-    def of(cls, *components: Partition) -> Multipartition:
-        return cls(tuple(components))
-
-    @classmethod
     def parse(cls, text: str) -> Multipartition:
         """Parse "4,2,1|3,3|" with '|' separating components; blanks are empty."""
         return cls(tuple(Partition.parse(tok) for tok in text.split("|")))
 
     def size(self) -> int:
         return sum(c.size() for c in self.components)
-
-    def level(self) -> int:
-        return len(self.components)
 
     def cut(self) -> Multipartition:
         """Remove the first column of every component."""

@@ -133,14 +133,12 @@ def _count_adjacent(m1: Multisegment, m2: Multisegment, offset: int) -> int:
     return sum(shifted_ends.count(s[0]) for s in m1.segments)
 
 
-def c_pair(n1: Multisegment, n2: Multisegment) -> int:
-    """Occurrence pairs with b of the first = e of the second plus one."""
-    return _count_adjacent(n1, n2, 1)
-
-
 def c_tuple(ms: Sequence[Multisegment]) -> int:
+    """Occurrence pairs with b in an earlier entry = e in a later one plus one."""
     return sum(
-        c_pair(ms[j], ms[k]) for j in range(len(ms)) for k in range(j + 1, len(ms))
+        _count_adjacent(ms[j], ms[k], 1)
+        for j in range(len(ms))
+        for k in range(j + 1, len(ms))
     )
 
 
@@ -176,15 +174,14 @@ def _check_support(m: Multisegment, t: int) -> None:
             raise PreconditionError(f"support of wt({m}) exceeds [-{t},{t}]")
 
 
-def bz_string(m: Multisegment, t: int) -> tuple[AdmissibleSequence, StringVector]:
+def bz_string(m: Multisegment, t: int) -> StringVector:
     """Exponent vector of m over the BZ sequence, determined by begin counts."""
     _check_support(m, t)
-    seq = AdmissibleSequence.bz(t)
-    # position r of the sequence holds the index t - r
-    counts = [0] * len(seq)
+    # position r of the sequence AdmissibleSequence.bz(t) holds the index t - r
+    counts = [0] * (2 * t + 1)
     for s in m.segments:
         counts[t - s.b] += 1
-    return seq, tuple(counts)
+    return tuple(counts)
 
 
 def single_derivative(m: Multisegment, j: int) -> Multisegment:
@@ -238,13 +235,13 @@ class MultiplicityTable:
             if key in acc:
                 raise ValueError(f"duplicate key {key}")
             acc[key] = poly
-        keyed = sorted(acc.items(), key=lambda kv: tuple(s.rlex_key() for s in kv[0]))
+        keyed = sorted(acc.items(), key=lambda kv: [(e, b) for b, e in kv[0]])
         self._rows: tuple[tuple[Multisegment, LaurentPoly], ...] = tuple(keyed)
         weights = {key.weight() for key, _ in self._rows}
         if len(weights) > 1:
             raise ValueError("table keys do not share a common weight")
         for key, poly in self._rows:
-            if not poly.is_nonnegative():
+            if not poly.is_positive():
                 raise ValueError(f"negative multiplicity at {key}: {poly}")
 
     def items(self) -> tuple[tuple[Multisegment, LaurentPoly], ...]:
@@ -254,7 +251,7 @@ class MultiplicityTable:
         for k, poly in self._rows:
             if k == key:
                 return poly
-        return LaurentPoly.zero()
+        return LaurentPoly()
 
     def __len__(self) -> int:
         return len(self._rows)

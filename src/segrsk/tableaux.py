@@ -143,9 +143,6 @@ class BitableauPair:
                 f"shape mismatch: {self.p.shape()} vs {self.q.shape()}"
             )
 
-    def shape(self) -> Partition:
-        return self.p.shape()
-
     def is_admissible(self) -> bool:
         """Entrywise c <= d."""
         return all(
@@ -210,7 +207,7 @@ def gamma_descriptor(m: Multisegment, derived: bool = False) -> GammaDescriptor:
     if not m:
         raise PreconditionError("empty multisegment has no descriptor")
     pq = bitableau_of(m)
-    shape = pq.shape()
+    shape = pq.p.shape()
     if derived:
         # admissible: bitableau_of asserted the source pair permissible
         pq = BitableauPair(pq.p.increment(), pq.q)

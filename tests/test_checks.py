@@ -83,7 +83,7 @@ class TestPeelTrace:
             assert _peel_trace(m, steps, 4) == rsk.peel_trace(m)
         assert steps
         assert all(len(x) <= 4 for x in steps)
-        assert _peel_trace(Multisegment.empty(), steps, 4) == ()
+        assert _peel_trace(Multisegment(), steps, 4) == ()
 
 
 @pytest.mark.parametrize("suite", [suite_rsk, suite_strings])
@@ -258,7 +258,7 @@ def _walked_specht_pairs(cmin, cmax, level, size):
     return sum(
         1
         for kappa in iter_multicharges(cmin, cmax, level)
-        for _ in iter_multipartitions(kappa.level(), size)
+        for _ in iter_multipartitions(len(kappa), size)
     )
 
 
@@ -311,6 +311,12 @@ class TestSizePlan:
         result = suite_rsk(bounds, 1, 12)
         assert (result.exhaustive_through, result.sampled) == (1, 12)
         assert plan["rsk"] == (6 + result.cases, result.cases)
+
+    @pytest.mark.parametrize("max_segments, cases", [(0, 0), (1, 2)])
+    def test_strings_draws_no_more_pairs_than_instances_make(self, max_segments, cases):
+        # support {0}: no instance below one segment, one ordered pair at one
+        bounds = EnumerationBounds(0, 0, max_segments)
+        assert suite_strings(bounds).cases == size_plan("strings", bounds)["strings"][1] == cases
 
     def test_admits_every_bound_in_use(self):
         # Tier-1 and the acceptance criteria, then the benchmark catalog
@@ -371,6 +377,7 @@ class TestSizePlan:
             # a suite with nothing to walk would pass without checking
             ("rsk", EnumerationBounds(-2, 2, 0), 10_000, 3, "rsk would check no case"),
             ("strings", EnumerationBounds(0, 0, 0), 0, 3, "strings would check no case"),
+            ("strings", EnumerationBounds(0, 0, 0), 10_000, 3, "strings would check no case"),
         ],
     )
     def test_rules_fire_before_any_suite_runs(

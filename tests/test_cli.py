@@ -93,6 +93,10 @@ class TestDeriveCommand:
         assert lines[0] == "0 ; 0"
         assert lines[1] == "shift: 1"
 
+    def test_gamma_descriptor_with_derived_is_the_derived_one(self, capsys):
+        argv = ("derive", "--gamma-descriptor", "--derived", "[1,1]+[1,1]")
+        assert run_cli(capsys, *argv) == run_cli(capsys, "derive", "--derived", "[1,1]+[1,1]")
+
     def test_gamma_descriptor(self, capsys):
         code, out, _ = run_cli(capsys, "derive", "--gamma-descriptor", "[1,1]+[1,1]")
         assert code == 0
@@ -133,6 +137,34 @@ class TestDeriveCommand:
             main(["derive", "--single", "1", "--bz", "3", "[1,3]"])
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, later, earlier",
+        [
+            (("--phi", "--bz", "3"), "--bz", "--phi"),
+            (("--single", "1", "--phi"), "--phi", "--single"),
+            (("--phi", "--gamma-descriptor"), "--gamma-descriptor", "--phi"),
+            (("--gamma-descriptor", "--bz", "2"), "--bz", "--gamma-descriptor"),
+            (("--single", "1", "--gamma-descriptor"), "--gamma-descriptor", "--single"),
+            # --derived is checked after parsing, so it is always named first
+            (("--phi", "--derived"), "--derived", "--phi"),
+            (("--derived", "--bz", "2"), "--derived", "--bz"),
+            (("--single", "1", "--derived"), "--derived", "--single"),
+        ],
+    )
+    def test_modes_exclusive(self, capsys, flags, later, earlier):
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", *flags, "--json", "[1,2]"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        message = f"argument {later}: not allowed with argument {earlier}"
+        assert captured.err.startswith("usage: segrsk derive")
+        assert captured.err.endswith(f"error: {message}\n")
+        assert json.loads(captured.out) == {
+            "status": "usage_error",
+            "payload": {},
+            "diagnostics": [message],
+        }
 
     def test_usage_error_json_envelope(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -266,7 +298,7 @@ class TestSpechtCommand:
 
     def test_padded_size_matches_the_padding(self):
         for kappa in iter_multicharges(-2, 2, 3):
-            for mp in iter_multipartitions(kappa.level(), 4):
+            for mp in iter_multipartitions(len(kappa), 4):
                 unpadded = (mp.size(), sum(mu.length() for mu in mp))
                 assert cli._specht_size(kappa, mp, padded=False) == unpadded
                 if cli.specht.is_restricted(kappa, mp):

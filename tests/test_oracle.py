@@ -28,7 +28,7 @@ class TestEnumeration:
         assert len(list(enumerate_multisegments(EnumerationBounds(-1, 1, 1)))) == 7
         assert len(list(enumerate_multisegments(EnumerationBounds(0, 0, 2)))) == 3
         assert list(enumerate_multisegments(EnumerationBounds(0, 3, 0))) == [
-            Multisegment.empty()
+            Multisegment()
         ]
 
     def test_count_formula_matches(self):
@@ -63,7 +63,7 @@ class TestDilworth:
         assert dilworth_width(M((1, 1), (1, 1))) == 2
         assert dilworth_width(M((1, 2), (2, 3))) == 1
         assert dilworth_width(M((1, 1), (1, 2))) == 2
-        assert dilworth_width(Multisegment.empty()) == 0
+        assert dilworth_width(Multisegment()) == 0
 
     def test_antichain_of_nested_segments(self):
         # pairwise incomparable under the strict double inequality
@@ -86,11 +86,11 @@ class TestBrutePermissible:
     def test_examples(self):
         assert brute_permissible(M((1, 2)), M((1, 1)))
         assert not brute_permissible(M((5, 5)), M((1, 1)))
-        assert brute_permissible(M((1, 2)), Multisegment.empty())
+        assert brute_permissible(M((1, 2)), Multisegment())
 
     def test_guards(self):
         with pytest.raises(PreconditionError):
-            brute_permissible(M((1, 1), (1, 1)), Multisegment.empty())
+            brute_permissible(M((1, 1), (1, 1)), Multisegment())
         big = Multisegment([*M((0, 0)).segments] * 9)
         with pytest.raises(SizeGuardExceeded):
             brute_permissible(M((1, 2)), big)
