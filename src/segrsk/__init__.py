@@ -6,6 +6,8 @@ grading shifts, admissible-sequence forms and BZ derivatives, and the
 multipartition dictionary, all paired with brute-force oracles.
 """
 
+import types
+
 from .errors import (
     InvariantViolation,
     ParseError,
@@ -65,61 +67,11 @@ from .tableaux import (
     standard_tableaux,
 )
 
-__all__ = [
-    "AdmissibleSequence",
-    "BitableauPair",
-    "DominantWeight",
-    "GammaDescriptor",
-    "InvariantViolation",
-    "InvertedSSYT",
-    "LadderSequence",
-    "LaurentPoly",
-    "Multicharge",
-    "Multipartition",
-    "MultiplicityTable",
-    "Multisegment",
-    "ParseError",
-    "Partition",
-    "PreconditionError",
-    "Segment",
-    "ShapeViolation",
-    "SizeGuardExceeded",
-    "Weight",
-    "a_invariant",
-    "beta_of",
-    "bitableau_of",
-    "bz_derivative",
-    "bz_string",
-    "c_count",
-    "c_prime_tuple",
-    "c_tuple",
-    "cartan_form",
-    "column_removal_check",
-    "content",
-    "content_multi",
-    "depth_function",
-    "ell_form",
-    "gamma_descriptor",
-    "is_permissible_pair",
-    "is_proper",
-    "is_restricted",
-    "knuth_viennot",
-    "ladder_of_partition",
-    "ladders_of",
-    "multiseg_of",
-    "pad",
-    "peel_trace",
-    "phi_multiseg",
-    "phi_weights",
-    "point_multisegment",
-    "residue_sequence",
-    "rsk_transform",
-    "single_derivative",
-    "specht_rsk_verify",
-    "standard_tableaux",
-    "string_form",
-    "transfer_multiplicities",
-    "width",
-]
+# the public names are the classes, functions and exceptions imported above
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -21,6 +21,9 @@ from .multisegment import Multisegment
 from .oracle import EnumerationBounds, enumerate_multisegments
 from .tableaux import Partition
 
+# the suites run_suite (and so `segrsk check --suite`) runs; "all" runs each
+SUITES = ("combi", "rsk", "specht", "strings", "all")
+
 EXHAUSTIVE_TUPLES = 1_000_000
 EXHAUSTIVE_INSTANCES = 50_000
 
@@ -355,19 +358,35 @@ def iter_multicharges(cmin: int, cmax: int, max_level: int) -> Iterator[specht.M
 
 
 def iter_multipartitions(level: int, max_total: int) -> Iterator[specht.Multipartition]:
-    """All multipartitions with the given level and total size at most max_total."""
+    """All multipartitions with the given level and total size at most max_total.
+
+    Ordered by the first component's size, then its partition in partitions_of
+    order, then likewise by each later component.  The walk keeps one iterator
+    of choices per component on a stack, so a deep level needs no recursion.
+    """
+    if level == 0:
+        yield specht.Multipartition(())
+        return
     by_size = [partitions_of(n) for n in range(max_total + 1)]
 
-    def build(i: int, budget: int, acc: tuple[Partition, ...]) -> Iterator[tuple[Partition, ...]]:
-        if i == level:
-            yield acc
-            return
-        for n in range(budget + 1):
-            for mu in by_size[n]:
-                yield from build(i + 1, budget - n, acc + (mu,))
+    def choices(budget: int) -> Iterator[tuple[Partition, int]]:
+        # each partition of size at most budget, with the budget it leaves
+        return ((mu, budget - n) for n in range(budget + 1) for mu in by_size[n])
 
-    for components in build(0, max_total, ()):
-        yield specht.Multipartition(components)
+    acc: list[Partition] = []
+    stack = [choices(max_total)]
+    while stack:
+        for mu, rest in stack[-1]:
+            if len(stack) < level and rest:
+                acc.append(mu)
+                stack.append(choices(rest))
+                break
+            # with no budget left, every later component is empty
+            yield specht.Multipartition((*acc, mu) + by_size[0] * (level - len(stack)))
+        else:
+            stack.pop()
+            if acc:
+                acc.pop()
 
 
 def suite_specht(
@@ -505,10 +524,13 @@ def run_suite(
 ) -> list[SuiteResult]:
     """Dispatch for the check command; 'all' runs every suite.
 
-    A level cap below 1, a negative sample size or a suite with no case to
-    walk would check nothing and still pass, so all are preconditions,
-    checked before any suite runs; so are the size rules of size_plan.
+    An unknown suite name, a level cap below 1, a negative sample size or a
+    suite with no case to walk would check nothing and still pass, so all are
+    preconditions, checked before any suite runs; so are the size rules of
+    size_plan.
     """
+    if name not in SUITES:
+        raise PreconditionError(f"unknown suite {name!r}, expected one of {', '.join(SUITES)}")
     if max_level < 1:
         raise PreconditionError(f"multicharge level cap must be at least 1, got {max_level}")
     if sample < 0:

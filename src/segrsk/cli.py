@@ -15,7 +15,6 @@ import argparse
 import json
 import shlex
 import sys
-from dataclasses import dataclass, field
 
 from . import checks, oracle, rsk, specht, strings, tableaux
 from .errors import (
@@ -61,57 +60,36 @@ SPECHT_MAX_ROWS = 300
 PHI_MAX_CELLS = 100_000
 
 
-@dataclass
-class CommandReport:
-    """Structured outcome of one subcommand invocation."""
-
-    status: str = "ok"
-    payload: dict = field(default_factory=dict)
-    diagnostics: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "payload": self.payload,
-            "diagnostics": self.diagnostics,
-        }
+def _print_envelope(status: str, payload: dict, diagnostics: list[str]) -> None:
+    """The --json output of every outcome, success, failure or usage error."""
+    envelope = {"status": status, "payload": payload, "diagnostics": diagnostics}
+    print(json.dumps(envelope, indent=2, sort_keys=True))
 
 
-def _emit(report: CommandReport, lines: list[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-        for diag in report.diagnostics:
-            print(diag, file=sys.stderr)
+# Each command returns its exit code, its --json payload and its text lines;
+# main prints one or the other.
 
 
-def _cmd_rsk(args: argparse.Namespace) -> int:
-    report = CommandReport()
-    lines: list[str] = []
+def _cmd_rsk(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     m = Multisegment.parse(args.multisegment)
     transform = rsk.rsk_transform(m)
-    report.payload["ladders"] = transform.to_json()
-    lines.append(str(transform))
+    payload = {"ladders": transform.to_json()}
+    lines = [str(transform)]
     if args.width or args.json:
-        report.payload["width"] = len(transform)
+        payload["width"] = len(transform)
         if args.width:
             lines.append(f"width: {len(transform)}")
     if args.bitableau or (args.json and m):
         pair = transform.bitableau()
-        report.payload["P"] = pair.p.to_json()
-        report.payload["Q"] = pair.q.to_json()
+        payload["P"] = pair.p.to_json()
+        payload["Q"] = pair.q.to_json()
         if args.bitableau:
             lines.append(f"P: {pair.p.to_json()}")
             lines.append(f"Q: {pair.q.to_json()}")
-    _emit(report, lines, args.json)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_derive(args: argparse.Namespace) -> int:
-    report = CommandReport()
-    lines: list[str] = []
+def _cmd_derive(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     ms = [Multisegment.parse(text) for text in args.multisegment]
     if args.phi:
         cells = sum(s.length() for m in ms for s in m)
@@ -120,34 +98,27 @@ def _cmd_derive(args: argparse.Namespace) -> int:
                 f"inputs have {cells} cells, above the cap {PHI_MAX_CELLS}"
             )
         phi = strings.phi_multiseg(ms)
-        report.payload["phi"] = phi
-        report.payload["c"] = strings.c_tuple(ms)
-        report.payload["c_prime"] = strings.c_prime_tuple(ms)
-        lines.append(f"phi: {phi}")
+        payload = {
+            "phi": phi,
+            "c": strings.c_tuple(ms),
+            "c_prime": strings.c_prime_tuple(ms),
+        }
+        return 0, payload, [f"phi: {phi}"]
+    if len(ms) != 1:
+        raise PreconditionError("exactly one multisegment expected")
+    m = ms[0]
+    if args.gamma_descriptor or args.derived:
+        desc = tableaux.gamma_descriptor(m, derived=args.derived)
+        payload = {"ladders": [lad.to_json() for lad in desc.ladders], "shift": desc.shift}
+        lines = [" ; ".join(str(lad) for lad in desc.ladders), f"shift: {desc.shift}"]
+        return 0, payload, lines
+    if args.single is not None:
+        out = strings.single_derivative(m, args.single)
+    elif args.bz is not None:
+        out = strings.bz_derivative(m, args.bz)
     else:
-        if len(ms) != 1:
-            raise PreconditionError("exactly one multisegment expected")
-        m = ms[0]
-        if args.gamma_descriptor or args.derived:
-            desc = tableaux.gamma_descriptor(m, derived=args.derived)
-            report.payload["ladders"] = [lad.to_json() for lad in desc.ladders]
-            report.payload["shift"] = desc.shift
-            lines.append(" ; ".join(str(lad) for lad in desc.ladders))
-            lines.append(f"shift: {desc.shift}")
-        elif args.single is not None:
-            out = strings.single_derivative(m, args.single)
-            report.payload["result"] = out.to_json()
-            lines.append(str(out))
-        elif args.bz is not None:
-            out = strings.bz_derivative(m, args.bz)
-            report.payload["result"] = out.to_json()
-            lines.append(str(out))
-        else:
-            out = m.derived()
-            report.payload["result"] = out.to_json()
-            lines.append(str(out))
-    _emit(report, lines, args.json)
-    return 0
+        out = m.derived()
+    return 0, {"result": out.to_json()}, [str(out)]
 
 
 def _specht_size(
@@ -165,9 +136,7 @@ def _specht_size(
     return cells, sum(rows)
 
 
-def _cmd_specht(args: argparse.Namespace) -> int:
-    report = CommandReport()
-    lines: list[str] = []
+def _cmd_specht(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     kappa = specht.Multicharge.parse(args.charge)
     mp = specht.Multipartition.parse(args.parts)
     if len(kappa) != len(mp):
@@ -184,46 +153,39 @@ def _cmd_specht(args: argparse.Namespace) -> int:
     restricted = specht.is_restricted(kappa, mp)
     proper = specht.is_proper(kappa, mp)
     m = specht.multiseg_of(kappa, mp)
-    report.payload.update(
-        {
-            "restricted": restricted,
-            "proper": proper,
-            "multisegment": m.to_json(),
-            "checks": [],
-        }
-    )
-    lines.append(f"restricted: {restricted}")
-    lines.append(f"proper: {proper}")
-    lines.append(f"multisegment: {m}")
+    payload = {
+        "restricted": restricted,
+        "proper": proper,
+        "multisegment": m.to_json(),
+        "checks": [],
+    }
+    lines = [f"restricted: {restricted}", f"proper: {proper}", f"multisegment: {m}"]
     if args.pad:
         padded = specht.pad(kappa, mp)
-        report.payload["padded"] = str(padded)
+        payload["padded"] = str(padded)
         lines.append(f"padded: {padded}")
     if args.derive:
         cut = mp.cut()
         ok = specht.column_removal_check(kappa, mp) if restricted else None
-        report.payload["cut"] = str(cut)
+        payload["cut"] = str(cut)
         if ok is not None:
-            report.payload["checks"].append({"column_removal": ok})
+            payload["checks"].append({"column_removal": ok})
             lines.append(f"column removal: {'pass' if ok else 'FAIL'}")
         lines.append(f"cut: {cut}")
     if args.verify_rsk:
         if not restricted:
             raise PreconditionError("--verify-rsk requires a restricted multipartition")
         outcome = specht.specht_rsk_verify(kappa, mp)
-        report.payload["gamma"] = outcome.gamma.to_json()
-        report.payload["ladders"] = [lad.to_json() for lad in outcome.ladders]
-        report.payload["checks"].append({"specht_rsk": True})
+        payload["gamma"] = outcome.gamma.to_json()
+        payload["ladders"] = [lad.to_json() for lad in outcome.ladders]
+        payload["checks"].append({"specht_rsk": True})
         lines.append(f"gamma: {outcome.gamma}")
         lines.append(f"ladders: {' ; '.join(str(lad) for lad in outcome.ladders)}")
         lines.append("dictionary checks: pass")
-    _emit(report, lines, args.json)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_tableaux(args: argparse.Namespace) -> int:
-    report = CommandReport()
-    lines: list[str] = []
+def _cmd_tableaux(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     shape = Partition.parse(args.shape)
     if shape.size() > TABLEAUX_MAX_CELLS:
         raise PreconditionError(
@@ -237,35 +199,28 @@ def _cmd_tableaux(args: argparse.Namespace) -> int:
         )
     fillings = tableaux.standard_tableaux(shape)
     entries = []
+    lines = []
     for filling in fillings:
         residues = tableaux.residue_sequence(args.charge, filling)
         entries.append({"rows": [list(r) for r in filling], "residues": list(residues)})
         lines.append(f"{[list(r) for r in filling]} residues: {list(residues)}")
-    report.payload.update(
-        {"shape": list(shape.parts), "count": len(fillings), "tableaux": entries}
-    )
+    payload = {"shape": list(shape.parts), "count": len(fillings), "tableaux": entries}
     lines.append(f"count: {len(fillings)}")
-    _emit(report, lines, args.json)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     bounds = EnumerationBounds(args.min, args.max, args.max_segments)
     results = checks.run_suite(
         args.suite, bounds, seed=args.seed, sample=args.sample, max_level=args.level
     )
-    report = CommandReport()
-    lines: list[str] = []
-    failed = False
+    payload = {}
+    lines = []
     for res in results:
-        status = "pass" if res.ok else "FAIL"
-        lines.append(f"{res.name}: {status} ({res.cases} cases)")
-        for note in res.notes:
-            lines.append(f"  note: {note}")
-        for failure in res.failures:
-            failed = True
-            lines.append(f"  counterexample: {failure}")
-        report.payload[res.name] = {
+        lines.append(f"{res.name}: {'pass' if res.ok else 'FAIL'} ({res.cases} cases)")
+        lines.extend(f"  note: {note}" for note in res.notes)
+        lines.extend(f"  counterexample: {failure}" for failure in res.failures)
+        payload[res.name] = {
             "cases": res.cases,
             "failures": res.failures,
             "notes": res.notes,
@@ -274,10 +229,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "elapsed_s": res.elapsed_s,
             "cases_per_s": res.cases_per_s,
         }
-    if failed:
-        report.status = "check_failure"
-    _emit(report, lines, args.json)
-    return 3 if failed else 0
+    return (0 if all(res.ok for res in results) else 3), payload, lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -351,11 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.set_defaults(func=_cmd_tableaux)
 
     p_chk = sub.add_parser("check", help="run property suites")
-    p_chk.add_argument(
-        "--suite",
-        choices=["combi", "rsk", "specht", "strings", "all"],
-        default="all",
-    )
+    p_chk.add_argument("--suite", choices=checks.SUITES, default="all")
     p_chk.add_argument("--min", type=int, default=-2, help="support/charge minimum")
     p_chk.add_argument("--max", type=int, default=2, help="support/charge maximum")
     p_chk.add_argument(
@@ -386,10 +334,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse already printed usage and message on stderr
         message = getattr(exc, "usage_error", None)
         if message is not None and _wants_json(argv):
-            _emit(CommandReport(status="usage_error", diagnostics=[message]), [], True)
+            _print_envelope("usage_error", {}, [message])
         raise
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
     except tuple(EXIT_CODES) as exc:
         status, code = next(
             row for kind, row in EXIT_CODES.items() if isinstance(exc, kind)
@@ -401,8 +349,14 @@ def main(argv: list[str] | None = None) -> int:
         for line in diagnostics:
             print(line, file=sys.stderr)
         if args.json:
-            _emit(CommandReport(status=status, diagnostics=diagnostics), [], True)
+            _print_envelope(status, {}, diagnostics)
         return code
+    if args.json:
+        _print_envelope("ok" if code == 0 else "check_failure", payload, [])
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from segrsk.checks import (
     bounded_instances,
     iter_multicharges,
     iter_multipartitions,
+    partitions_of,
     run_suite,
     size_plan,
     suite_rsk,
@@ -24,6 +25,7 @@ from segrsk.errors import PreconditionError
 from segrsk.multisegment import Multisegment
 from segrsk.oracle import EnumerationBounds, enumerate_multisegments
 from segrsk.rsk import _peel_trace
+from segrsk.specht import Multipartition
 
 
 def _random_multisegment(rng, n):
@@ -400,3 +402,50 @@ class TestSizePlan:
         monkeypatch.setattr(checks, "CHECK_MAX_HELD", held - 1)
         with pytest.raises(PreconditionError, match=f"{held} multisegments"):
             run_suite("combi", bounds, 0, 10)
+
+
+class TestSuiteNames:
+    @pytest.mark.parametrize("name", ["kv", "tableaux", "RSK", ""])
+    def test_unknown_name_is_a_precondition(self, name):
+        # kv and tableaux run under rsk; alone they are no suite of run_suite
+        with pytest.raises(PreconditionError, match=f"unknown suite {name!r}"):
+            run_suite(name, EnumerationBounds(-1, 1, 2), 0, 10)
+
+    def test_the_cli_offers_the_same_names(self, capsys):
+        from segrsk.cli import build_parser
+
+        parser = build_parser()
+        for name in checks.SUITES:
+            assert parser.parse_args(["check", "--suite", name]).suite == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["check", "--suite", "kv"])
+        assert f"(choose from {', '.join(map(repr, checks.SUITES))})" in capsys.readouterr().err
+
+
+class TestIterMultipartitions:
+    def test_deep_levels_need_no_recursion(self):
+        # one empty multipartition, and the single cell in each component
+        assert sum(1 for _ in iter_multipartitions(2000, 1)) == 2001
+
+    def test_lazy(self):
+        # the domain has more members than can be listed
+        first = next(iter_multipartitions(30, 20))
+        assert first == Multipartition(partitions_of(0) * 30)
+
+    def test_order_small(self):
+        assert [str(mp) for mp in iter_multipartitions(3, 2)] == [
+            "||", "||1", "||2", "||1,1", "|1|", "|1|1", "|2|", "|1,1|",
+            "1||", "1||1", "1|1|", "2||", "1,1||",
+        ]
+
+    @pytest.mark.parametrize("level, max_total", [(0, 3), (1, 4), (2, 0), (3, 4)])
+    def test_order_is_lexicographic_in_the_components(self, level, max_total):
+        # each component by size, then in partitions_of order; the walk is
+        # the budget-respecting part of the product, in the product's order
+        choices = [mu for n in range(max_total + 1) for mu in partitions_of(n)]
+        expected = [
+            Multipartition(c)
+            for c in itertools.product(choices, repeat=level)
+            if sum(mu.size() for mu in c) <= max_total
+        ]
+        assert list(iter_multipartitions(level, max_total)) == expected

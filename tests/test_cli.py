@@ -833,3 +833,354 @@ def test_any_argv_ends_in_a_documented_exit_code(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in range(5), (argv, sink.getvalue())
+
+
+# (argv, exit code, stdout, stderr), captured from the CLI; `check --json` on
+# a passing run is left out, since it reports wall times
+OUTPUT_BYTES = [
+    (
+        ["rsk", "[1,1]+[1,2]+[2,3]", "--width", "--bitableau"],
+        0,
+        "[1,2]+[2,3] ; [1,1]\n"
+        "width: 2\n"
+        "P: [[2, 1], [1]]\n"
+        "Q: [[4, 3], [2]]\n",
+        "",
+    ),
+    (
+        ["rsk", "[1,1]+[1,2]", "--json"],
+        0,
+        "{\n"
+        '  "diagnostics": [],\n'
+        '  "payload": {\n'
+        '    "P": [\n'
+        "      [\n"
+        "        1\n"
+        "      ],\n"
+        "      [\n"
+        "        1\n"
+        "      ]\n"
+        "    ],\n"
+        '    "Q": [\n'
+        "      [\n"
+        "        3\n"
+        "      ],\n"
+        "      [\n"
+        "        2\n"
+        "      ]\n"
+        "    ],\n"
+        '    "ladders": [\n'
+        "      [\n"
+        "        [\n"
+        "          1,\n"
+        "          2\n"
+        "        ]\n"
+        "      ],\n"
+        "      [\n"
+        "        [\n"
+        "          1,\n"
+        "          1\n"
+        "        ]\n"
+        "      ]\n"
+        "    ],\n"
+        '    "width": 2\n'
+        "  },\n"
+        '  "status": "ok"\n'
+        "}\n",
+        "",
+    ),
+    (
+        ["rsk", "0"],
+        0,
+        "\n",
+        "",
+    ),
+    (
+        ["derive", "--phi", "[2,3]", "[1,2]+[3,3]"],
+        0,
+        "phi: -1\n",
+        "",
+    ),
+    (
+        ["derive", "--phi", "[2,3]", "[1,2]+[3,3]", "--json"],
+        0,
+        "{\n"
+        '  "diagnostics": [],\n'
+        '  "payload": {\n'
+        '    "c": 0,\n'
+        '    "c_prime": 1,\n'
+        '    "phi": -1\n'
+        "  },\n"
+        '  "status": "ok"\n'
+        "}\n",
+        "",
+    ),
+    (
+        ["derive", "--gamma-descriptor", "[1,3]+[2,2]+[2,3]"],
+        0,
+        "[2,3] ; [2,3] ; [1,2]\n"
+        "shift: 6\n",
+        "",
+    ),
+    (
+        ["derive", "--gamma-descriptor", "[1,3]+[2,2]", "--json"],
+        0,
+        "{\n"
+        '  "diagnostics": [],\n'
+        '  "payload": {\n'
+        '    "ladders": [\n'
+        "      [\n"
+        "        [\n"
+        "          2,\n"
+        "          3\n"
+        "        ]\n"
+        "      ],\n"
+        "      [\n"
+        "        [\n"
+        "          1,\n"
+        "          2\n"
+        "        ]\n"
+        "      ]\n"
+        "    ],\n"
+        '    "shift": 2\n'
+        "  },\n"
+        '  "status": "ok"\n'
+        "}\n",
+        "",
+    ),
+    (
+        ["derive", "--derived", "[1,3]+[2,2]+[2,3]"],
+        0,
+        "[3,3] ; [3,3] ; [2,2]\n"
+        "shift: 4\n",
+        "",
+    ),
+    (
+        ["derive", "--derived", "[1,3]+[2,2]", "--json"],
+        0,
+        "{\n"
+        '  "diagnostics": [],\n'
+        '  "payload": {\n'
+        '    "ladders": [\n'
+        "      [\n"
+        "        [\n"
+        "          3,\n"
+        "          3\n"
+        "        ]\n"
+        "      ],\n"
+        "      [\n"
+        "        [\n"
+        "          2,\n"
+        "          2\n"
+        "        ]\n"
+        "      ]\n"
+        "    ],\n"
+        '    "shift": 1\n'
+        "  },\n"
+        '  "status": "ok"\n'
+        "}\n",
+        "",
+    ),
+    (
+        ["derive", "--bz", "3", "[1,3]+[2,2]"],
+        0,
+        "[2,3]\n",
+        "",
+    ),
+    (
+        ["derive", "--bz", "3", "[1,3]+[2,2]", "--json"],
+        0,
+        "{\n"
+        '  "diagnostics": [],\n'
+        '  "payload": {\n'
+        '    "result": [\n'
+        "      [\n"
+        "        2,\n"
+        "        3\n"
+        "      ]\n"
+        "    ]\n"
+        "  },\n"
+        '  "status": "ok"\n'
+        "}\n",
+        "",
+    ),
+    (
+        ["derive", "--single", "1", "[1,3]"],
+        0,
+        "[2,3]\n",
+        "",
+    ),
+    (
+        ["derive", "--single", "1", "[1,3]", "--json"],
+        0,
+        "{\n"
+        '  "diagnostics": [],\n'
+        '  "payload": {\n'
+        '    "result": [\n'
+        "      [\n"
+        "        2,\n"
+        "        3\n"
+        "      ]\n"
+        "    ]\n"
+        "  },\n"
+        '  "status": "ok"\n'
+        "}\n",
+        "",
+    ),
+    (
+        ["derive", "[1,3]+[2,2]"],
+        0,
+        "[2,3]\n",
+        "",
+    ),
+    (
+        ["derive", "[1,3]+[2,2]", "--json"],
+        0,
+        "{\n"
+        '  "diagnostics": [],\n'
+        '  "payload": {\n'
+        '    "result": [\n'
+        "      [\n"
+        "        2,\n"
+        "        3\n"
+        "      ]\n"
+        "    ]\n"
+        "  },\n"
+        '  "status": "ok"\n'
+        "}\n",
+        "",
+    ),
+    (
+        ["specht", "--charge", "1,0", "--parts", "2|1", "--pad", "--derive", "--verify-rsk"],
+        0,
+        "restricted: True\n"
+        "proper: False\n"
+        "multisegment: [-2,-1]+[0,0]\n"
+        "padded: 3,1|2\n"
+        "column removal: pass\n"
+        "cut: 1|\n"
+        "gamma: a(0)\n"
+        "ladders: [-2,-1] ; [0,0]\n"
+        "dictionary checks: pass\n",
+        "",
+    ),
+    (
+        ["specht", "--charge", "1,0", "--parts", "2|1", "--pad", "--derive", "--verify-rsk", "--json"],
+        0,
+        "{\n"
+        '  "diagnostics": [],\n'
+        '  "payload": {\n'
+        '    "checks": [\n'
+        "      {\n"
+        '        "column_removal": true\n'
+        "      },\n"
+        "      {\n"
+        '        "specht_rsk": true\n'
+        "      }\n"
+        "    ],\n"
+        '    "cut": "1|",\n'
+        '    "gamma": {\n'
+        '      "0": 1\n'
+        "    },\n"
+        '    "ladders": [\n'
+        "      [\n"
+        "        [\n"
+        "          -2,\n"
+        "          -1\n"
+        "        ]\n"
+        "      ],\n"
+        "      [\n"
+        "        [\n"
+        "          0,\n"
+        "          0\n"
+        "        ]\n"
+        "      ]\n"
+        "    ],\n"
+        '    "multisegment": [\n'
+        "      [\n"
+        "        -2,\n"
+        "        -1\n"
+        "      ],\n"
+        "      [\n"
+        "        0,\n"
+        "        0\n"
+        "      ]\n"
+        "    ],\n"
+        '    "padded": "3,1|2",\n'
+        '    "proper": false,\n'
+        '    "restricted": true\n'
+        "  },\n"
+        '  "status": "ok"\n'
+        "}\n",
+        "",
+    ),
+    (
+        ["tableaux", "--shape", "2,1"],
+        0,
+        "[[1, 2], [3]] residues: [0, 1, -1]\n"
+        "[[1, 3], [2]] residues: [0, -1, 1]\n"
+        "count: 2\n",
+        "",
+    ),
+    (
+        ["check", "--suite", "rsk", "--min", "0", "--max", "1", "--max-segments", "2"],
+        0,
+        "rsk: pass (9 cases)\n"
+        "  note: exhaustive through size 2\n"
+        "kv: pass (9 cases)\n"
+        "tableaux: pass (30 cases)\n",
+        "",
+    ),
+    (
+        ["rsk", "[2,1]", "--json"],
+        1,
+        "{\n"
+        '  "diagnostics": [\n'
+        '    "parse error: segment begin exceeds end in \'[2,1]\'"\n'
+        "  ],\n"
+        '  "payload": {},\n'
+        '  "status": "parse_error"\n'
+        "}\n",
+        "parse error: segment begin exceeds end in '[2,1]'\n",
+    ),
+    (
+        ["rsk", "0", "--bitableau", "--json"],
+        2,
+        "{\n"
+        '  "diagnostics": [\n'
+        '    "precondition error: empty multisegment has no bitableau"\n'
+        "  ],\n"
+        '  "payload": {},\n'
+        '  "status": "precondition_error"\n'
+        "}\n",
+        "precondition error: empty multisegment has no bitableau\n",
+    ),
+    (
+        ["rsk", "--json"],
+        2,
+        "{\n"
+        '  "diagnostics": [\n'
+        '    "the following arguments are required: multisegment"\n'
+        "  ],\n"
+        '  "payload": {},\n'
+        '  "status": "usage_error"\n'
+        "}\n",
+        "usage: segrsk rsk [-h] [--width] [--bitableau] [--json] multisegment\n"
+        "segrsk rsk: error: the following arguments are required: multisegment\n",
+    ),
+
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", OUTPUT_BYTES, ids=[shlex.join(case[0]) for case in OUTPUT_BYTES]
+)
+def test_output_bytes(capsys, monkeypatch, argv, code, out, err):
+    # argparse wraps its usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == (code, out, err)

@@ -1,8 +1,10 @@
-"""Each operation of the library has one public name."""
+"""Each operation of the library has one public name, listed once."""
 
+import ast
 import importlib
 import pkgutil
 from collections import defaultdict
+from pathlib import Path
 
 import segrsk
 
@@ -56,3 +58,14 @@ def test_one_name_per_operation():
     assert not found, sorted(found)
     missing = [name for name in segrsk.__all__ if not hasattr(segrsk, name)]
     assert not missing, missing
+
+
+def test_all_is_every_name_init_imports():
+    tree = ast.parse(Path(segrsk.__file__).read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert segrsk.__all__ == sorted(imported)
