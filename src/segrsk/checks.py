@@ -334,18 +334,17 @@ def suite_strings(
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, reverse-lexicographic."""
-    if n == 0:
-        return (Partition(),)
     out: list[Partition] = []
-
-    def build(remaining: int, cap: int, acc: tuple[int, ...]) -> None:
+    # (parts so far, what they leave of n); the largest next part is pushed
+    # last, so it is taken first
+    stack: list[tuple[tuple[int, ...], int]] = [((), n)]
+    while stack:
+        acc, remaining = stack.pop()
         if remaining == 0:
             out.append(Partition(acc))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            build(remaining - part, part, acc + (part,))
-
-    build(n, n, ())
+            continue
+        cap = min(acc[-1] if acc else n, remaining)
+        stack.extend((acc + (part,), remaining - part) for part in range(1, cap + 1))
     return tuple(out)
 
 
@@ -423,8 +422,13 @@ def suite_specht(
     return result
 
 
-def suite_tableaux(max_partition_size: int = 6, charge_span: int = 2) -> SuiteResult:
-    """Hook-length counts, residue weights and the cut-ladder identity."""
+def suite_tableaux(
+    max_partition_size: int = 6, charge_span: int = 2, repro: str = "segrsk check --suite rsk"
+) -> SuiteResult:
+    """Hook-length counts, residue weights and the cut-ladder identity.
+
+    Every rsk run reruns it at the default bounds; run_suite passes its own run line.
+    """
     result = SuiteResult("tableaux", exhaustive_through=max_partition_size)
     for n in range(max_partition_size + 1):
         for mu in partitions_of(n):
@@ -444,6 +448,7 @@ def suite_tableaux(max_partition_size: int = 6, charge_span: int = 2) -> SuiteRe
                         result.failures.append(
                             f"residue weight wrong for ({k},{mu},{filling})"
                         )
+    result.failures = [f"{failure} | {repro}" for failure in result.failures]
     return result
 
 
@@ -559,7 +564,7 @@ def run_suite(
     if name in ("rsk", "all"):
         timed(lambda: suite_rsk(bounds, seed, sample))
         timed(lambda: suite_kv(bounds, seed, sample))
-        timed(suite_tableaux)
+        timed(lambda: suite_tableaux(repro=_repro("rsk", bounds, seed, sample)))
     if name in ("strings", "all"):
         timed(lambda: suite_strings(bounds, seed, sample))
     if name in ("specht", "all"):

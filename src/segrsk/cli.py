@@ -50,7 +50,7 @@ TABLEAUX_MAX_OUTPUT_CELLS = 1_000_000
 # --pad and --verify-rsk build; checked before any work.  Weights are built
 # one cell at a time (a 10,000-cell row takes 0.1 s and 22 MB; 1,000,000
 # cells take 660 MB), and rows are segments the RSK transform peels (300
-# rows take 0.3 s; two 400-row components end in a RecursionError)
+# rows take 0.3 s, and stay below RSK_MAX_SEGMENTS)
 SPECHT_MAX_CELLS = 10_000
 SPECHT_MAX_ROWS = 300
 # most cells (segment lengths summed over the inputs) `derive --phi`
@@ -58,6 +58,13 @@ SPECHT_MAX_ROWS = 300
 # dense weights (100,000 cells take 0.01 s and 10 MB; 1,000,000 cells take
 # 0.09 s and 94 MB, and [0,100000000] twice ends in a MemoryError)
 PHI_MAX_CELLS = 100_000
+# most segments `rsk` and the descriptor modes of `derive` peel, checked
+# before the first peel.  The permissibility search recurses once per step
+# of an ll-chain of the rest, at most half the segments long, so 400
+# segments stay within the recursion limit (two equal 350-segment chains
+# end in a RecursionError); the slowest admitted family measured, the
+# nested segments [-i, i], takes 3.8 s at 400
+RSK_MAX_SEGMENTS = 400
 
 
 def _print_envelope(status: str, payload: dict, diagnostics: list[str]) -> None:
@@ -70,8 +77,16 @@ def _print_envelope(status: str, payload: dict, diagnostics: list[str]) -> None:
 # main prints one or the other.
 
 
+def _check_rsk_size(m: Multisegment) -> None:
+    if len(m) > RSK_MAX_SEGMENTS:
+        raise PreconditionError(
+            f"input has {len(m)} segments, above the cap {RSK_MAX_SEGMENTS}"
+        )
+
+
 def _cmd_rsk(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     m = Multisegment.parse(args.multisegment)
+    _check_rsk_size(m)
     transform = rsk.rsk_transform(m)
     payload = {"ladders": transform.to_json()}
     lines = [str(transform)]
@@ -108,6 +123,7 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         raise PreconditionError("exactly one multisegment expected")
     m = ms[0]
     if args.gamma_descriptor or args.derived:
+        _check_rsk_size(m)
         desc = tableaux.gamma_descriptor(m, derived=args.derived)
         payload = {"ladders": [lad.to_json() for lad in desc.ladders], "shift": desc.shift}
         lines = [" ; ".join(str(lad) for lad in desc.ladders), f"shift: {desc.shift}"]

@@ -117,13 +117,19 @@ class _SparseMap:
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> _SparseMap:
-        """Inverse of to_json(); anything but integer keys and values raises ParseError."""
+        """Inverse of to_json(); anything to_json() never writes raises ParseError.
+
+        Keys are the decimal text str(i) of an integer, so "01", "+1" or " 1"
+        raise, and coefficients are nonzero integers.
+        """
         try:
             items = [(int(i), c) for i, c in data.items()]
         except (AttributeError, TypeError, ValueError):
             raise ParseError(f"bad {cls.__name__} JSON: {data!r}") from None
-        for i, c in items:
-            if type(c) is not int:
+        for key, (i, c) in zip(data, items):
+            if key != str(i):
+                raise ParseError(f"bad {cls.__name__} key: {key!r}")
+            if type(c) is not int or c == 0:
                 raise ParseError(f"bad {cls.__name__} coefficient at {i}: {c!r}")
         try:
             return cls(items)

@@ -67,9 +67,6 @@ class Segment(tuple):
         """Extend by one to the left."""
         return Segment(self[0] - 1, self[1])
 
-    def weight(self) -> Weight:
-        return Weight((i, 1) for i in range(self[0], self[1] + 1))
-
     def __repr__(self) -> str:
         return f"Segment(b={self[0]!r}, e={self[1]!r})"
 

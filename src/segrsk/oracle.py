@@ -73,22 +73,31 @@ def dilworth_width(m: Multisegment) -> int:
     n = len(segs)
     adj = [[j for j in range(n) if segs[i].ll(segs[j])] for i in range(n)]
     match_right: list[int | None] = [None] * n
-
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] is None or augment(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
-
-    try:
-        matching = sum(1 for i in range(n) if augment(i, [False] * n))
-    finally:
-        # augment reaches itself through its closure; dropping the name
-        # breaks that cycle so adj and the matching are freed at return
-        del augment
+    matching = 0
+    for root in range(n):
+        # depth-first search for an augmenting path from root, with an
+        # explicit stack: lefts[k] is a left vertex with its untried edges,
+        # rights[k] the right vertex that leads from it to lefts[k + 1]
+        seen = [False] * n
+        lefts = [(root, iter(adj[root]))]
+        rights: list[int] = []
+        while lefts:
+            for j in lefts[-1][1]:
+                if not seen[j]:
+                    break
+            else:
+                lefts.pop()
+                if rights:
+                    rights.pop()
+                continue
+            seen[j] = True
+            rights.append(j)
+            if match_right[j] is None:
+                for (left, _), right in zip(lefts, rights):
+                    match_right[right] = left
+                matching += 1
+                break
+            lefts.append((match_right[j], iter(adj[match_right[j]])))
     return n - matching
 
 

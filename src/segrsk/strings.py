@@ -247,12 +247,6 @@ class MultiplicityTable:
     def items(self) -> tuple[tuple[Multisegment, LaurentPoly], ...]:
         return self._rows
 
-    def get(self, key: Multisegment) -> LaurentPoly:
-        for k, poly in self._rows:
-            if k == key:
-                return poly
-        return LaurentPoly()
-
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -266,8 +260,8 @@ class MultiplicityTable:
         return [{"key": str(k), "poly": p.to_json()} for k, p in self._rows]
 
     @classmethod
-    def from_json(cls, data: Iterable[Mapping]) -> MultiplicityTable:
-        """Inverse of to_json(); malformed rows or keys raise ParseError."""
+    def from_json(cls, data: list[dict]) -> MultiplicityTable:
+        """Inverse of to_json(); anything to_json() never writes raises ParseError."""
         try:
             rows = [(row["key"], row["poly"]) for row in data]
         except (KeyError, TypeError):
@@ -276,11 +270,16 @@ class MultiplicityTable:
             if type(key) is not str:
                 raise ParseError(f"bad multiplicity table key: {key!r}")
         try:
-            return cls(
+            table = cls(
                 (Multisegment.parse(key), LaurentPoly.from_json(poly)) for key, poly in rows
             )
         except ValueError as exc:  # also duplicate keys, mixed weights, negative entries
             raise ParseError(str(exc)) from None
+        # extra row fields, key text such as " [1,1] " and rows out of key
+        # order parse, but to_json() would not write them
+        if table.to_json() != data:
+            raise ParseError(f"multiplicity table JSON not as to_json() writes it: {data!r}")
+        return table
 
 
 def transfer_multiplicities(

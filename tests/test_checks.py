@@ -26,6 +26,7 @@ from segrsk.multisegment import Multisegment
 from segrsk.oracle import EnumerationBounds, enumerate_multisegments
 from segrsk.rsk import _peel_trace
 from segrsk.specht import Multipartition
+from segrsk.tableaux import Partition
 
 
 def _random_multisegment(rng, n):
@@ -420,6 +421,28 @@ class TestSuiteNames:
         with pytest.raises(SystemExit):
             parser.parse_args(["check", "--suite", "kv"])
         assert f"(choose from {', '.join(map(repr, checks.SUITES))})" in capsys.readouterr().err
+
+
+def _recursive_partitions_of(n: int) -> tuple[Partition, ...]:
+    """partitions_of as the recursion it once was."""
+    if n == 0:
+        return (Partition(),)
+    out = []
+
+    def build(remaining, cap, acc):
+        if remaining == 0:
+            out.append(Partition(acc))
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            build(remaining - part, part, acc + (part,))
+
+    build(n, n, ())
+    return tuple(out)
+
+
+def test_partitions_of_keeps_the_recursive_order():
+    for n in range(13):
+        assert partitions_of(n) == _recursive_partitions_of(n)
 
 
 class TestIterMultipartitions:

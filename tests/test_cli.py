@@ -25,6 +25,65 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _doubled_chain(k: int) -> str:
+    """Two equal ll-chains of k segments [i-2, i]: the first peel leaves
+    one chain of k as its rest."""
+    chain = "+".join(f"[{i - 2},{i}]" for i in range(k))
+    return f"{chain}+{chain}"
+
+
+# the rsk-transform modes and the library function each one peels through
+_PEELING_MODES = [
+    (("rsk",), "rsk", "rsk_transform"),
+    (("derive", "--gamma-descriptor"), "tableaux", "gamma_descriptor"),
+    (("derive", "--derived"), "tableaux", "gamma_descriptor"),
+]
+
+
+class TestSegmentCap:
+    """rsk and the descriptor modes of derive refuse long inputs before peeling."""
+
+    @pytest.mark.parametrize("mode, module, name", _PEELING_MODES)
+    def test_cap_is_inclusive(self, capsys, monkeypatch, mode, module, name):
+        text = "[0,0]+[0,1]+[1,1]"
+        monkeypatch.setattr(cli, "RSK_MAX_SEGMENTS", 3)
+        assert run_cli(capsys, *mode, text)[0] == 0
+        monkeypatch.setattr(cli, "RSK_MAX_SEGMENTS", 2)
+        monkeypatch.setattr(getattr(cli, module), name, None)
+        code, out, err = run_cli(capsys, *mode, text)
+        assert (code, out) == (2, "")
+        assert err == "precondition error: input has 3 segments, above the cap 2\n"
+
+    @pytest.mark.parametrize("mode, module, name", _PEELING_MODES)
+    def test_one_above_the_cap_exits_2_before_peeling(
+        self, capsys, monkeypatch, mode, module, name
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("peeled an input above the cap")
+
+        monkeypatch.setattr(getattr(cli, module), name, refuse)
+        monkeypatch.setattr(cli.rsk, "knuth_viennot", refuse)
+        cap = cli.RSK_MAX_SEGMENTS
+        text = "+".join(["[0,0]"] * (cap + 1))
+        message = f"precondition error: input has {cap + 1} segments, above the cap {cap}"
+        code, out, err = run_cli(capsys, *mode, text)
+        assert (code, out, err) == (2, "", message + "\n")
+        code, out, _ = run_cli(capsys, *mode, text, "--json")
+        assert code == 2
+        assert json.loads(out) == {
+            "status": "precondition_error",
+            "payload": {},
+            "diagnostics": [message],
+        }
+
+    def test_deepest_input_at_the_cap_is_admitted(self, capsys):
+        # the permissibility search recurses along the longest chain of the
+        # rest, at most half the segments: two equal chains reach it
+        code, out, _ = run_cli(capsys, "rsk", "--json", _doubled_chain(cli.RSK_MAX_SEGMENTS // 2))
+        assert code == 0
+        assert json.loads(out)["payload"]["width"] == 2
+
+
 class TestRskCommand:
     def test_basic(self, capsys):
         code, out, _ = run_cli(capsys, "rsk", "[1,1]+[1,2]")
@@ -655,6 +714,8 @@ class TestReproductionLine:
             (("--suite", "specht", "--min", "-1", "--max", "1", "--max-segments", "2",
               "--seed", "7", "--level", "2"), "specht.column_removal_check",
              lambda kappa, mp: False),
+            (("--suite", "rsk", "--min", "-1", "--max", "1", "--max-segments", "2",
+              "--seed", "8", "--sample", "11"), "oracle.hook_length_count", lambda mu: -1),
         ],
     )
     def test_parses_back_to_the_run(self, capsys, monkeypatch, argv, target, broken):
@@ -716,6 +777,17 @@ def test_bz_cost_does_not_grow_with_segment_length():
     proc = _run_module("derive", "--bz", "100000000", "[0,100000000]", timeout=10)
     assert proc.returncode == 0
     assert proc.stdout == "[1,100000000]\n"
+
+
+def test_two_equal_400_segment_chains_exit_2_at_once():
+    # the multisegment of `specht --charge 0,0 --parts "<400 parts of 3>|<400
+    # parts of 3>"`: peeling it ended in a RecursionError after seconds
+    proc = _run_module("rsk", _doubled_chain(400), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"precondition error: input has 800 segments, above the cap {cli.RSK_MAX_SEGMENTS}\n"
+    )
 
 
 def test_phi_refuses_long_segments_before_building_weights():

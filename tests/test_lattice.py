@@ -305,6 +305,11 @@ class TestSharedBase:
                     with pytest.raises(TypeError):
                         x - y
 
+    def test_zero_maps_are_falsy(self):
+        for zero in (Weight(), alpha(0) - alpha(0), LaurentPoly(), DominantWeight()):
+            assert not zero, repr(zero)
+        assert alpha(3)
+
     def test_dominant_accepts_cancelled_negative(self):
         lam = DominantWeight([(0, -1), (0, 1)])
         assert lam == DominantWeight()
@@ -355,6 +360,17 @@ class TestFromJsonErrors:
             (LaurentPoly, "1"),
             (DominantWeight, {"0": -1}),
             (DominantWeight, {"a": 1}),
+            # keys and coefficients that to_json never writes
+            (Weight, {"1_0": 1}),
+            (Weight, {" 1": 2}),
+            (Weight, {1: 3}),
+            (Weight, {"01": 1}),
+            (Weight, {"+1": 1}),
+            (Weight, {"-0": 1}),
+            (Weight, {"1": 1, "01": 2}),
+            (Weight, {"1": 0}),
+            (LaurentPoly, {"0": 0}),
+            (DominantWeight, {"0": 0}),
         ],
     )
     def test_malformed(self, cls, data):
@@ -366,6 +382,61 @@ class TestFromJsonErrors:
         assert LaurentPoly.from_json({"2": 1, "0": -1}) == LaurentPoly({2: 1, 0: -1})
         assert DominantWeight.from_json({"0": 2}) == DominantWeight({0: 2})
         assert Weight.from_json({}) == Weight()
+
+
+dominant_weights = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(0, 4)), max_size=6
+).map(DominantWeight)
+SPARSE_MAPS = {Weight: weights, LaurentPoly: small_polys, DominantWeight: dominant_weights}
+
+
+def _misspelt(i: int) -> list:
+    """Keys that int() reads as i but to_json never writes."""
+    text = str(i)
+    digits = text.lstrip("-")
+    sign = text[: len(text) - len(digits)]
+    keys = [i, f" {text}", f"{text} ", f"{sign}0{digits}"]
+    if i >= 0:
+        keys.append(f"+{text}")
+    if len(digits) > 1:
+        keys.append(f"{text[:-1]}_{text[-1]}")
+    return keys
+
+
+# JSON objects near to_json's form: decimal keys, some misspelt, and
+# coefficients that are zero or not integers
+_near_json = st.dictionaries(
+    st.integers(-20, 20).map(str)
+    | st.integers(-20, 20).flatmap(lambda i: st.sampled_from(_misspelt(i))),
+    st.integers(-3, 3) | st.sampled_from([True, 1.0, "1", None]),
+    max_size=5,
+)
+
+
+@pytest.mark.parametrize("cls", SPARSE_MAPS)
+class TestFromJsonIsTheInverse:
+    """from_json accepts exactly what to_json writes, and inverts it."""
+
+    @given(data=st.data())
+    def test_round_trip(self, cls, data):
+        x = data.draw(SPARSE_MAPS[cls])
+        assert cls.from_json(x.to_json()) == x
+
+    @given(d=_near_json)
+    def test_accepted_json_is_what_to_json_writes(self, cls, d):
+        try:
+            x = cls.from_json(d)
+        except ParseError:
+            return
+        assert x.to_json() == d
+
+    @given(data=st.data(), i=st.integers(-120, 120))
+    def test_misspelt_key_or_zero_raises(self, cls, data, i):
+        d = data.draw(SPARSE_MAPS[cls]).to_json()
+        with pytest.raises(ParseError):
+            cls.from_json({**d, data.draw(st.sampled_from(_misspelt(i))): 1})
+        with pytest.raises(ParseError):
+            cls.from_json({**d, str(i): 0})
 
 
 class TestLaurentPolyAgainstDense:

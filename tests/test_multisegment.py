@@ -303,6 +303,17 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             Multisegment.from_json(data)
 
+    @pytest.mark.parametrize(
+        "m, rep",
+        [
+            (Multisegment(), "Multisegment.parse('0')"),
+            (Multisegment.of((2, 3), (1, 1)), "Multisegment.parse('[1,1]+[2,3]')"),
+        ],
+    )
+    def test_repr(self, m, rep):
+        assert repr(m) == rep
+        assert eval(rep) == m
+
     def test_from_json(self):
         assert Multisegment.from_json([]) == Multisegment()
         assert Multisegment.from_json([[2, 3], [1, 1]]) == Multisegment.of((1, 1), (2, 3))

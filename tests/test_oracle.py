@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -70,8 +71,8 @@ class TestDilworth:
         assert dilworth_width(M((0, 3), (1, 2), (2, 2))) == 3
 
     def test_frees_its_matching_at_return(self):
-        # the recursive augmenting search must not leave a reference cycle
-        # for the cyclic collector; with gc off, such a cycle would remain
+        # the augmenting search must not leave a reference cycle for the
+        # cyclic collector; with gc off, such a cycle would remain
         m = M((0, 1), (1, 2), (1, 1), (2, 3), (0, 0))
         gc.collect()
         gc.disable()
@@ -80,6 +81,39 @@ class TestDilworth:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _recursive_dilworth_width(m: Multisegment) -> int:
+    """dilworth_width with the recursive augmenting search it once had."""
+    segs = m.segments
+    n = len(segs)
+    adj = [[j for j in range(n) if segs[i].ll(segs[j])] for i in range(n)]
+    match_right = [None] * n
+
+    def augment(i, seen):
+        for j in adj[i]:
+            if not seen[j]:
+                seen[j] = True
+                if match_right[j] is None or augment(match_right[j], seen):
+                    match_right[j] = i
+                    return True
+        return False
+
+    return n - sum(1 for i in range(n) if augment(i, [False] * n))
+
+
+class TestDilworthAgainstRecursion:
+    def test_bounded_domain(self):
+        for m in enumerate_multisegments(EnumerationBounds(-2, 2, 4)):
+            assert dilworth_width(m) == _recursive_dilworth_width(m), str(m)
+
+    @pytest.mark.parametrize("n", [25, 100, 400])
+    def test_seeded_large_inputs(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            begins = [rng.randint(-20, 20) for _ in range(n)]
+            m = Multisegment.of(*((b, b + rng.randint(0, 6)) for b in begins))
+            assert dilworth_width(m) == _recursive_dilworth_width(m)
 
 
 class TestBrutePermissible:

@@ -174,6 +174,12 @@ class TestLadderSequence:
         with pytest.raises(ShapeViolation):
             LadderSequence.from_trace(((Multisegment(), rest),))
 
+    def test_indexing(self):
+        transform = rsk_transform(M((1, 1), (1, 2), (2, 3)))
+        assert len(transform) == 2
+        assert transform[0] == M((1, 2), (2, 3))
+        assert transform[-1] == M((1, 1))
+
     def test_gaps_allowed_in_plain_sequence(self):
         seq = LadderSequence((Multisegment(), M((1, 1))))
         assert len(seq) == 2

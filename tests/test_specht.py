@@ -66,6 +66,19 @@ class TestContent:
     def test_height_is_size(self):
         assert content_multi(KAPPA, MU_PROPER).height() == MU_PROPER.size()
 
+    def test_dagger_negates_content(self):
+        # a cell (i, j) at charge k has content k + j - i; conjugating swaps
+        # i and j, so the daggered pair carries the negated contents
+        pairs = 0
+        for kappa in iter_multicharges(-2, 2, 3):
+            for mp in iter_multipartitions(len(kappa), 5):
+                pairs += 1
+                assert (
+                    content_multi(kappa.dagger(), mp.dagger())
+                    == content_multi(kappa, mp).dagger()
+                ), (kappa, mp)
+        assert pairs == 7_995
+
 
 class TestRestrictedProper:
     def test_worked_examples(self):

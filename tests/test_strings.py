@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -43,6 +44,7 @@ class TestAdmissibleSequence:
 
     def test_bz(self):
         assert AdmissibleSequence.bz(2).indices == (2, 1, 0, -1, -2)
+        assert list(AdmissibleSequence.bz(2)) == [2, 1, 0, -1, -2]
 
 
 class TestBetaOf:
@@ -346,6 +348,19 @@ class TestMultiplicityTable:
         )
         assert MultiplicityTable.from_json(table.to_json()) == table
 
+    def test_repr(self):
+        table = MultiplicityTable(
+            {
+                M((1, 2)): LaurentPoly.q_power(1),
+                M((1, 1), (2, 2)): LaurentPoly({0: 1, -2: 3}),
+            }
+        )
+        rep = (
+            "MultiplicityTable([(Multisegment.parse('[1,1]+[2,2]'), LaurentPoly({0: 1, -2: 3})), "
+            "(Multisegment.parse('[1,2]'), LaurentPoly({1: 1}))])"
+        )
+        assert repr(table) == rep
+        assert eval(rep) == table
 
     @pytest.mark.parametrize(
         "data",
@@ -360,11 +375,62 @@ class TestMultiplicityTable:
             [{"key": "[1,1]", "poly": {"0": -1}}],
             [{"key": "[1,1]", "poly": {"0": 1}}, {"key": "[1,1]", "poly": {"0": 1}}],
             [{"key": "[1,1]", "poly": {"0": 1}}, {"key": "[2,2]", "poly": {"0": 1}}],
+            # rows that to_json never writes
+            [{"key": "[1,1]", "poly": {"0": 1}, "extra": 1}],
+            [{"key": " [1,1] ", "poly": {"0": 1}}],
+            [{"key": "[2,2]+[1,1]", "poly": {"0": 1}}],
+            [{"key": "[1,1]", "poly": {"00": 1}}],
+            [{"key": "[1,2]", "poly": {"0": 1}}, {"key": "[1,1]+[2,2]", "poly": {"0": 1}}],
         ],
     )
     def test_from_json_errors(self, data):
         with pytest.raises(ParseError):
             MultiplicityTable.from_json(data)
+
+
+# keys of one weight each, from every multisegment in [0, 2] of at most 3
+# segments
+_KEYS_BY_WEIGHT: dict[Weight, list[Multisegment]] = {}
+for _m in enumerate_multisegments(EnumerationBounds(0, 2, 3)):
+    _KEYS_BY_WEIGHT.setdefault(_m.weight(), []).append(_m)
+_table_polys = st.dictionaries(st.integers(-3, 3), st.integers(1, 3), max_size=3).map(LaurentPoly)
+
+
+def tables(min_size: int = 0):
+    return st.sampled_from(list(_KEYS_BY_WEIGHT.values())).flatmap(
+        lambda keys: st.dictionaries(
+            st.sampled_from(keys), _table_polys, min_size=min_size, max_size=4
+        )
+    ).map(MultiplicityTable)
+
+
+# each turns to_json() rows into rows that to_json never writes, or leaves
+# them as they are
+_MISWRITES = [
+    lambda rows: [{**rows[0], "extra": 1}, *rows[1:]],
+    lambda rows: [{**rows[0], "key": f" {rows[0]['key']} "}, *rows[1:]],
+    lambda rows: [{**rows[0], "key": rows[0]["key"].replace(",", ", ")}, *rows[1:]],
+    lambda rows: [{**rows[0], "key": "+".join(rows[0]["key"].split("+")[::-1])}, *rows[1:]],
+    lambda rows: [{**rows[0], "poly": {**rows[0]["poly"], "4": 0}}, *rows[1:]],
+    lambda rows: rows[::-1],
+]
+
+
+class TestMultiplicityTableJson:
+    @given(tables())
+    def test_round_trip(self, table):
+        rows = json.loads(json.dumps(table.to_json()))
+        assert MultiplicityTable.from_json(rows) == table
+
+    @given(tables(min_size=1), st.sampled_from(_MISWRITES))
+    def test_accepts_only_what_to_json_writes(self, table, miswrite):
+        rows = miswrite(table.to_json())
+        if rows == table.to_json():
+            # a one-segment key, or a one-row table, has nothing to reorder
+            assert MultiplicityTable.from_json(rows).to_json() == rows
+        else:
+            with pytest.raises(ParseError):
+                MultiplicityTable.from_json(rows)
 
 
 class TestTransfer:
