@@ -423,11 +423,12 @@ def suite_specht(
 
 
 def suite_tableaux(
-    max_partition_size: int = 6, charge_span: int = 2, repro: str = "segrsk check --suite rsk"
+    max_partition_size: int = 6, repro: str = "segrsk check --suite rsk"
 ) -> SuiteResult:
     """Hook-length counts, residue weights and the cut-ladder identity.
 
-    Every rsk run reruns it at the default bounds; run_suite passes its own run line.
+    Residue weights and ladders are checked at the charges -2..2.  Every rsk
+    run reruns it at the default bounds; run_suite passes its own run line.
     """
     result = SuiteResult("tableaux", exhaustive_through=max_partition_size)
     for n in range(max_partition_size + 1):
@@ -438,7 +439,7 @@ def suite_tableaux(
                 result.failures.append(f"tableau count wrong for ({mu})")
             if len(set(fillings)) != len(fillings):
                 result.failures.append(f"duplicate tableaux for ({mu})")
-            for k in range(-charge_span, charge_span + 1):
+            for k in range(-2, 3):
                 # ladder_of_partition asserts wt = content of the conjugate
                 lad = specht.ladder_of_partition(k, mu)
                 if lad.derived() != specht.ladder_of_partition(k, mu.cut()):

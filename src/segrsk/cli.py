@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 
@@ -58,19 +59,41 @@ SPECHT_MAX_ROWS = 300
 # dense weights (100,000 cells take 0.01 s and 10 MB; 1,000,000 cells take
 # 0.09 s and 94 MB, and [0,100000000] twice ends in a MemoryError)
 PHI_MAX_CELLS = 100_000
-# most segments `rsk` and the descriptor modes of `derive` peel, checked
-# before the first peel.  The permissibility search recurses once per step
-# of an ll-chain of the rest, at most half the segments long, so 400
-# segments stay within the recursion limit (two equal 350-segment chains
-# end in a RecursionError); the slowest admitted family measured, the
-# nested segments [-i, i], takes 3.8 s at 400
+# most inputs `derive --phi` accepts, checked before any work: Phi walks
+# every pair of inputs (2,000 one-segment inputs take 9.7 s; sixteen
+# 400-segment inputs take about 0.7 s)
+PHI_MAX_INPUTS = 16
+# most segments in each multisegment `rsk` and `derive` accept, checked
+# after parsing and before any work.  The permissibility search of a peel
+# recurses once per step of an ll-chain of the rest, at most half the
+# segments long, so 400 segments stay within the recursion limit (two equal
+# 350-segment chains end in a RecursionError); the slowest admitted family
+# measured, the nested segments [-i, i], takes 3.8 s at 400.  The other
+# derive modes grow quadratically in the segments: --bz rebuilds the input
+# at each distinct begin (4,000 distinct point segments take 3.1 s), and
+# --phi counts adjacent pairs across each pair of inputs
 RSK_MAX_SEGMENTS = 400
+
+
+def _drop_stdout() -> None:
+    """Point stdout at os.devnull once its reader has closed the pipe.
+
+    Python flushes stdout at exit, and into a closed pipe that flush would
+    raise BrokenPipeError again (see "Note on SIGPIPE" in the signal docs).
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _print_envelope(status: str, payload: dict, diagnostics: list[str]) -> None:
     """The --json output of every outcome, success, failure or usage error."""
     envelope = {"status": status, "payload": payload, "diagnostics": diagnostics}
-    print(json.dumps(envelope, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(envelope, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
 
 
 # Each command returns its exit code, its --json payload and its text lines;
@@ -106,7 +129,11 @@ def _cmd_rsk(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
 
 def _cmd_derive(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     ms = [Multisegment.parse(text) for text in args.multisegment]
+    for m in ms:
+        _check_rsk_size(m)
     if args.phi:
+        if len(ms) > PHI_MAX_INPUTS:
+            raise PreconditionError(f"{len(ms)} inputs, above the cap {PHI_MAX_INPUTS}")
         cells = sum(s.length() for m in ms for s in m)
         if cells > PHI_MAX_CELLS:
             raise PreconditionError(
@@ -123,7 +150,6 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         raise PreconditionError("exactly one multisegment expected")
     m = ms[0]
     if args.gamma_descriptor or args.derived:
-        _check_rsk_size(m)
         desc = tableaux.gamma_descriptor(m, derived=args.derived)
         payload = {"ladders": [lad.to_json() for lad in desc.ladders], "shift": desc.shift}
         lines = [" ; ".join(str(lad) for lad in desc.ladders), f"shift: {desc.shift}"]
@@ -370,8 +396,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         _print_envelope("ok" if code == 0 else "check_failure", payload, [])
     else:
-        for line in lines:
-            print(line)
+        try:
+            for line in lines:
+                print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
     return code
 
 

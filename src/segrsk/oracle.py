@@ -1,17 +1,19 @@
 """Brute-force reference implementations backing the test suite and checks.
 
-Everything here recomputes a main-path result by exhaustion: Dilworth width
-via bipartite matching, permissibility by trying every chain against every
-injective increasing assignment, depths and one peel by scanning every pair
-of Segment objects, the string form by a double loop over positions, the BZ
-derivative by a step at every index, tableau counts by hook lengths, and
-peeling determinism by re-running every admissible depth-class enumeration.
+Everything here recomputes a main-path result by a separate route: the
+Dilworth width as the largest antichain, permissibility by trying every
+chain against every injective increasing assignment, depths and one peel by
+scanning every pair of Segment objects, the string form by a double loop
+over positions, the BZ derivative by a step at every index, tableau counts
+by hook lengths, and peeling determinism by re-running every admissible
+depth-class enumeration.
 Oracles refuse oversized instances instead of sampling.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import comb, factorial
@@ -68,37 +70,21 @@ def enumerate_multisegments(bounds: EnumerationBounds) -> Iterator[Multisegment]
 
 
 def dilworth_width(m: Multisegment) -> int:
-    """Minimum chain cover: occurrences minus a maximum matching on ll-pairs."""
-    segs = m.segments
-    n = len(segs)
-    adj = [[j for j in range(n) if segs[i].ll(segs[j])] for i in range(n)]
-    match_right: list[int | None] = [None] * n
-    matching = 0
-    for root in range(n):
-        # depth-first search for an augmenting path from root, with an
-        # explicit stack: lefts[k] is a left vertex with its untried edges,
-        # rights[k] the right vertex that leads from it to lefts[k + 1]
-        seen = [False] * n
-        lefts = [(root, iter(adj[root]))]
-        rights: list[int] = []
-        while lefts:
-            for j in lefts[-1][1]:
-                if not seen[j]:
-                    break
-            else:
-                lefts.pop()
-                if rights:
-                    rights.pop()
-                continue
-            seen[j] = True
-            rights.append(j)
-            if match_right[j] is None:
-                for (left, _), right in zip(lefts, rights):
-                    match_right[right] = left
-                matching += 1
-                break
-            lefts.append((match_right[j], iter(adj[match_right[j]])))
-    return n - matching
+    """Fewest ll-chains covering the occurrences: the largest ll-antichain.
+
+    The two are equal by Dilworth's theorem.  Sorted by begin ascending and
+    end descending, a set of occurrences is pairwise ll-incomparable exactly
+    when its ends never increase: equal begins are always incomparable, and
+    the sort puts their ends in descending order, while for b_x < b_y the
+    pair is incomparable exactly when e_x >= e_y.  The longest weakly
+    decreasing run of ends is found by patience sorting on the negated ends.
+    """
+    # tails[k]: the least final negated end of a non-decreasing run of k + 1
+    tails: list[int] = []
+    for _, neg_end in sorted((b, -e) for b, e in m.segments):
+        k = bisect_right(tails, neg_end)
+        tails[k : k + 1] = [neg_end]  # replaces tails[k], or appends at the end
+    return len(tails)
 
 
 def reference_depths(segs: Sequence[Segment]) -> list[int]:

@@ -218,44 +218,25 @@ def standard_tableaux(shape: Partition) -> tuple[tuple[tuple[int, ...], ...], ..
     """All standard fillings of the shape, in lexicographic row-major order.
 
     A filling is a tuple of rows holding 1..n, increasing along rows and
-    columns.
+    columns.  They are grown value by value from the empty filling: value v
+    goes into every addable cell of every filling of 1..v-1.  Each standard
+    filling restricts to exactly one filling of 1..v, so no step holds more
+    fillings than the result.
     """
-    # depth-first over the values 1..n with an explicit stack, so the depth
-    # is not bounded by the recursion limit: tried[v - 1] is the row value v
-    # sits in, or the next row to try once v has been taken out again
     parts = shape.parts
-    n = sum(parts)
-    if n == 0:
-        return ((),)
-    results: list[tuple[tuple[int, ...], ...]] = []
-    rows: list[list[int]] = [[] for _ in parts]
-    tried = [0]
-    while tried:
-        value = len(tried)
-        i = tried[-1]
-        # cell (i+1, j+1) is addable when the row has room and the cell
-        # above is filled
-        while i < len(parts) and not (
-            len(rows[i]) < parts[i] and (i == 0 or len(rows[i - 1]) > len(rows[i]))
-        ):
-            i += 1
-        if i == len(parts):
-            # no row takes this value: take the previous value out again
-            tried.pop()
-            if tried:
-                rows[tried[-1]].pop()
-                tried[-1] += 1
-            continue
-        rows[i].append(value)
-        tried[-1] = i
-        if value == n:
-            results.append(tuple(tuple(r) for r in rows))
-            rows[i].pop()
-            tried[-1] += 1
-        else:
-            tried.append(0)
-    results.sort(key=lambda t: tuple(v for row in t for v in row))
-    return tuple(results)
+    fillings = [tuple(() for _ in parts)]
+    for value in range(1, sum(parts) + 1):
+        fillings = [
+            filling[:i] + (row + (value,),) + filling[i + 1 :]
+            for filling in fillings
+            for i, row in enumerate(filling)
+            # the cell after the row is addable when the row has room and
+            # the cell above it is filled
+            if len(row) < parts[i] and (i == 0 or len(filling[i - 1]) > len(row))
+        ]
+    # all fillings share their row lengths, so tuple order is row-major order
+    fillings.sort()
+    return tuple(fillings)
 
 
 def residue_sequence(k: int, tableau: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

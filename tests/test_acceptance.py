@@ -63,7 +63,7 @@ def rsk_run():
 @pytest.fixture(scope="module")
 def tableaux_run():
     """suite_tableaux on partitions of size <= 6 and charges -2..2; criteria 5 and 6 read it."""
-    return _timed(suite_tableaux, max_partition_size=6, charge_span=2)
+    return _timed(suite_tableaux, max_partition_size=6)
 
 
 def test_criterion_1_combi_identity():

@@ -179,6 +179,60 @@ class TestDeriveCommand:
         assert (code, out) == (2, "")
         assert err == "precondition error: inputs have 6 cells, above the cap 5\n"
 
+    @pytest.mark.parametrize("mode", [("--phi",), ("--bz", "3"), ("--single", "1"), ()])
+    def test_segment_cap_is_inclusive_in_every_mode(self, capsys, monkeypatch, mode):
+        text = "[0,0]+[0,1]+[1,1]"
+        monkeypatch.setattr(cli, "RSK_MAX_SEGMENTS", 3)
+        assert run_cli(capsys, "derive", *mode, text)[0] == 0
+        monkeypatch.setattr(cli, "RSK_MAX_SEGMENTS", 2)
+        for name in ("phi_multiseg", "bz_derivative", "single_derivative"):
+            monkeypatch.setattr(cli.strings, name, None)
+        code, out, err = run_cli(capsys, "derive", *mode, text)
+        assert (code, out) == (2, "")
+        assert err == "precondition error: input has 3 segments, above the cap 2\n"
+
+    def test_bz_one_above_the_segment_cap_exits_2_before_deriving(self, capsys, monkeypatch):
+        # --bz rebuilds the input at each distinct begin, quadratic in its length
+        def refuse(*args, **kwargs):
+            raise AssertionError("derived an input above the cap")
+
+        monkeypatch.setattr(cli.strings, "bz_derivative", refuse)
+        cap = cli.RSK_MAX_SEGMENTS
+        text = "+".join(f"[{i},{i}]" for i in range(cap + 1))
+        message = f"precondition error: input has {cap + 1} segments, above the cap {cap}"
+        code, out, err = run_cli(capsys, "derive", "--bz", str(cap), text)
+        assert (code, out, err) == (2, "", message + "\n")
+        code, out, _ = run_cli(capsys, "derive", "--bz", str(cap), text, "--json")
+        assert code == 2
+        assert json.loads(out) == {
+            "status": "precondition_error",
+            "payload": {},
+            "diagnostics": [message],
+        }
+
+    def test_phi_input_cap_is_inclusive(self, capsys, monkeypatch):
+        argv = ("derive", "--phi", "[0,2]", "[1,1]", "[4,5]")
+        monkeypatch.setattr(cli, "PHI_MAX_INPUTS", 3)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "PHI_MAX_INPUTS", 2)
+        monkeypatch.setattr(cli.strings, "phi_multiseg", None)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "precondition error: 3 inputs, above the cap 2\n"
+
+    def test_phi_on_2000_inputs_exits_2_at_once(self, capsys, monkeypatch):
+        # Phi walks every pair of inputs: 2,000 of them took 9.7 s
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed Phi above the input cap")
+
+        monkeypatch.setattr(cli.strings, "phi_multiseg", refuse)
+        message = f"precondition error: 2000 inputs, above the cap {cli.PHI_MAX_INPUTS}"
+        code, out, err = run_cli(capsys, "derive", "--phi", *["[0,0]"] * 2000)
+        assert (code, out, err) == (2, "", message + "\n")
+        code, out, _ = run_cli(capsys, "derive", "--phi", "--json", *["[0,0]"] * 2000)
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [message]
+
     def test_bz_support_precondition(self, capsys):
         code, _, _ = run_cli(capsys, "derive", "--bz", "2", "[1,3]")
         assert code == 2
@@ -738,13 +792,17 @@ class TestReproductionLine:
                 assert getattr(printed, f) == getattr(run, f), (f, line)
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a child that imports segrsk from the same tree as this process."""
+    src = str(Path(segrsk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _run_module(
     *argv: str, timeout: float | None = None, address_space: int | None = None
 ) -> subprocess.CompletedProcess:
     """Run `python -m segrsk argv`, capping the child's address space if asked."""
-    # the child imports segrsk from the same tree as this test process
-    src = str(Path(segrsk.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
     def cap_child():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
@@ -753,7 +811,7 @@ def _run_module(
         [sys.executable, "-m", "segrsk", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
         timeout=timeout,
         preexec_fn=cap_child if address_space is not None else None,
     )
@@ -763,6 +821,22 @@ def test_module_entry_point():
     proc = _run_module("rsk", "[1,1]+[1,2]", "--width")
     assert proc.returncode == 0
     assert "width: 2" in proc.stdout
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_a_reader_that_closes_the_pipe_gets_no_traceback(flags):
+    # about 190 KB of output, above the pipe buffer, so the child is still
+    # writing when the reader leaves after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "segrsk", "tableaux", "--shape", "5,4,3", *flags],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_bz_cost_does_not_grow_with_t():

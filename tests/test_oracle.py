@@ -65,14 +65,19 @@ class TestDilworth:
         assert dilworth_width(M((1, 2), (2, 3))) == 1
         assert dilworth_width(M((1, 1), (1, 2))) == 2
         assert dilworth_width(Multisegment()) == 0
+        # equal ends, equal begins, a chain, and a repeated segment
+        assert dilworth_width(M((0, 2), (1, 2))) == 2
+        assert dilworth_width(M((1, 1), (1, 3))) == 2
+        assert dilworth_width(M((0, 0), (1, 1), (2, 2))) == 1
+        assert dilworth_width(M((0, 0), (0, 0), (1, 1))) == 2
 
     def test_antichain_of_nested_segments(self):
         # pairwise incomparable under the strict double inequality
         assert dilworth_width(M((0, 3), (1, 2), (2, 2))) == 3
 
     def test_frees_its_matching_at_return(self):
-        # the augmenting search must not leave a reference cycle for the
-        # cyclic collector; with gc off, such a cycle would remain
+        # the width must not leave a reference cycle for the cyclic
+        # collector; with gc off, such a cycle would remain
         m = M((0, 1), (1, 2), (1, 1), (2, 3), (0, 0))
         gc.collect()
         gc.disable()
@@ -84,7 +89,7 @@ class TestDilworth:
 
 
 def _recursive_dilworth_width(m: Multisegment) -> int:
-    """dilworth_width with the recursive augmenting search it once had."""
+    """Minimum chain cover by a recursive augmenting-path matching on ll-pairs."""
     segs = m.segments
     n = len(segs)
     adj = [[j for j in range(n) if segs[i].ll(segs[j])] for i in range(n)]
@@ -114,6 +119,31 @@ class TestDilworthAgainstRecursion:
             begins = [rng.randint(-20, 20) for _ in range(n)]
             m = Multisegment.of(*((b, b + rng.randint(0, 6)) for b in begins))
             assert dilworth_width(m) == _recursive_dilworth_width(m)
+
+
+def _largest_antichain(m: Multisegment) -> int:
+    """The most occurrences that are pairwise ll-incomparable, over all subsets."""
+    segs = m.segments
+    for size in range(len(segs), 0, -1):
+        for subset in itertools.combinations(segs, size):
+            if not any(x.ll(y) or y.ll(x) for x, y in itertools.combinations(subset, 2)):
+                return size
+    return 0
+
+
+class TestDilworthIsTheLargestAntichain:
+    def test_bounded_domain(self):
+        for m in enumerate_multisegments(EnumerationBounds(-1, 1, 5)):
+            assert dilworth_width(m) == _largest_antichain(m), str(m)
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_seeded_inputs(self, n):
+        rng = random.Random(n)
+        for _ in range(5):
+            m = Multisegment.of(
+                *((b, b + rng.randint(0, 3)) for b in (rng.randint(-3, 3) for _ in range(n)))
+            )
+            assert dilworth_width(m) == _largest_antichain(m), str(m)
 
 
 class TestBrutePermissible:
