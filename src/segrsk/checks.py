@@ -123,6 +123,12 @@ def _repro(suite: str, bounds: EnumerationBounds, seed: int, sample: int) -> str
     )
 
 
+def _with_rerun_line(result: SuiteResult, repro: str) -> SuiteResult:
+    """Append the command line that reruns the suite to each of its failures."""
+    result.failures = [f"{failure} | {repro}" for failure in result.failures]
+    return result
+
+
 def suite_combi(
     bounds: EnumerationBounds, seed: int = 0, sample: int = 10_000
 ) -> SuiteResult:
@@ -148,13 +154,13 @@ def suite_combi(
         phi = strings.phi_multiseg(ms)
         if c - cp != phi:
             result.failures.append(
-                f"C-C'={c - cp} but Phi={phi} on ({', '.join(map(str, ms))}) | {repro}"
+                f"C-C'={c - cp} but Phi={phi} on ({', '.join(map(str, ms))})"
             )
             return
         avecs, betas, bvs = zip(*(data[m] for m in ms))
         if strings._phi_pairs(idx, avecs, betas, bvs) != phi:
             result.failures.append(
-                f"string-form Phi mismatch on ({', '.join(map(str, ms))}) | {repro}"
+                f"string-form Phi mismatch on ({', '.join(map(str, ms))})"
             )
 
     for arity in (1, 2, 3):
@@ -167,7 +173,7 @@ def suite_combi(
             for _ in range(sample):
                 check(tuple(rng.choice(domain) for _ in range(arity)))
             result.sampled += sample
-    return result
+    return _with_rerun_line(result, repro)
 
 
 def suite_rsk(
@@ -200,16 +206,14 @@ def suite_rsk(
             trace = rsk._peel_trace(m, steps, keep)
             transform = rsk.LadderSequence.from_trace(trace)
         except (InvariantViolation, ShapeViolation) as exc:
-            result.failures.append(f"RSK({m}) failed: {exc} | {repro}")
+            result.failures.append(f"RSK({m}) failed: {exc}")
             continue
         wt_sum = Multisegment(s for lad in transform for s in lad.segments)
         if wt_sum.weight() != m.weight() or wt_sum.begin_weight() != m.begin_weight():
-            result.failures.append(f"RSK({m}) does not conserve wt/b | {repro}")
+            result.failures.append(f"RSK({m}) does not conserve wt/b")
         prev_width = oracle.dilworth_width(m)
         if len(transform) != prev_width:
-            result.failures.append(
-                f"width({m})={len(transform)} != Dilworth {prev_width} | {repro}"
-            )
+            result.failures.append(f"width({m})={len(transform)} != Dilworth {prev_width}")
         # the brute-force oracle runs on every peel of an instance within
         # its guard, and on none of a larger one's
         brute = len(m) <= oracle.PERMISSIBLE_GUARD
@@ -218,41 +222,35 @@ def suite_rsk(
             if rest in verified:
                 break
             if brute and not oracle.brute_permissible(ladder, new_rest):
-                result.failures.append(
-                    f"peel of {rest} not permissible per oracle | {repro}"
-                )
+                result.failures.append(f"peel of {rest} not permissible per oracle")
             w = 0
             if new_rest:
                 w = verified.get(new_rest)
                 if w is None:
                     w = oracle.dilworth_width(new_rest)
                 if w != prev_width - 1:
-                    result.failures.append(
-                        f"width drop {prev_width}->{w} peeling {rest} | {repro}"
-                    )
+                    result.failures.append(f"width drop {prev_width}->{w} peeling {rest}")
             if brute and len(rest) <= keep:
                 verified[rest] = prev_width
             rest, prev_width = new_rest, w
         first_peel = trace[0]
         if first_peel in peel_images and peel_images[first_peel] != m:
-            result.failures.append(
-                f"peeling collision: {peel_images[first_peel]} and {m} | {repro}"
-            )
+            result.failures.append(f"peeling collision: {peel_images[first_peel]} and {m}")
         peel_images[first_peel] = m
         # bitableau layer on the same instance; bitableau() itself asserts
         # that ladders_of(P, Q) gives back the transform
         try:
             pq = transform.bitableau()
         except (InvariantViolation, ShapeViolation) as exc:
-            result.failures.append(f"bitableau of {m} failed: {exc} | {repro}")
+            result.failures.append(f"bitableau of {m} failed: {exc}")
             continue
         lads = list(transform)
         if strings.c_tuple(lads) != tableaux.c_count(pq):
-            result.failures.append(f"C(ladders) != C(P,Q) for {m} | {repro}")
+            result.failures.append(f"C(ladders) != C(P,Q) for {m}")
         derived_pair = tableaux.BitableauPair(pq.p.increment(), pq.q)
         if strings.c_prime_tuple(lads) != tableaux.c_count(derived_pair):
-            result.failures.append(f"C'(ladders) != C(P',Q) for {m} | {repro}")
-    return result
+            result.failures.append(f"C'(ladders) != C(P',Q) for {m}")
+    return _with_rerun_line(result, repro)
 
 
 def suite_kv(bounds: EnumerationBounds, seed: int = 0, sample: int = 10_000) -> SuiteResult:
@@ -270,8 +268,8 @@ def suite_kv(bounds: EnumerationBounds, seed: int = 0, sample: int = 10_000) -> 
             continue
         result.cases += 1
         if not oracle.kv_choice_independence(m):
-            result.failures.append(f"enumeration choice changes peel of {m} | {repro}")
-    return result
+            result.failures.append(f"enumeration choice changes peel of {m}")
+    return _with_rerun_line(result, repro)
 
 
 def suite_strings(
@@ -296,22 +294,20 @@ def suite_strings(
             # asserts that the derivative is the left truncation m.derived()
             derived = strings.bz_derivative(m, t)
         except InvariantViolation as exc:
-            result.failures.append(f"BZ derivative of {m} failed: {exc} | {repro}")
+            result.failures.append(f"BZ derivative of {m} failed: {exc}")
             continue
         if oracle.reference_bz_derivative(m, t + 2) != derived:
-            result.failures.append(f"BZ derivative of {m} is T-dependent | {repro}")
+            result.failures.append(f"BZ derivative of {m} is T-dependent")
         ext = m.extended()
         if ext.derived() != m:
-            result.failures.append(f"derive(extend({m})) != input | {repro}")
+            result.failures.append(f"derive(extend({m})) != input")
         ext_rsk = rsk.LadderSequence.from_trace(rsk._peel_trace(ext, steps, keep))
         derived_entries = [lad.derived() for lad in ext_rsk]
         empties_logged += sum(1 for lad in derived_entries if not lad)
         nonempty = [lad for lad in derived_entries if lad]
         m_rsk = rsk.LadderSequence.from_trace(rsk._peel_trace(m, steps, keep))
         if nonempty != list(m_rsk):
-            result.failures.append(
-                f"RSK(extend({m})) truncated entrywise != RSK({m}) | {repro}"
-            )
+            result.failures.append(f"RSK(extend({m})) truncated entrywise != RSK({m})")
     rng = random.Random(seed)
     # each instance's BZ vector, computed once: recomputing them made a round
     # of this suite 14 % slower (0.074 -> 0.084 s)
@@ -327,9 +323,9 @@ def suite_strings(
         a2 = bz_vector(m2)
         a12 = strings.bz_string(m1 + m2, t)
         if tuple(x + y for x, y in zip(a1, a2)) != a12:
-            result.failures.append(f"BZ string not additive on {m1}, {m2} | {repro}")
+            result.failures.append(f"BZ string not additive on {m1}, {m2}")
     result.notes.append(f"empty derived ladders logged: {empties_logged}")
-    return result
+    return _with_rerun_line(result, repro)
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
@@ -411,15 +407,15 @@ def suite_specht(
             try:
                 report = specht.specht_rsk_verify(kappa, mp)
             except InvariantViolation as exc:
-                result.failures.append(f"dictionary failed on {case}: {exc} | {repro}")
+                result.failures.append(f"dictionary failed on {case}: {exc}")
                 continue
             if not report.gamma.is_positive():
-                result.failures.append(f"gamma not positive on {case} | {repro}")
+                result.failures.append(f"gamma not positive on {case}")
             if report.proper_case and not specht.proper_rsk_identity(kappa, mp):
-                result.failures.append(f"proper RSK identity broken on {case} | {repro}")
+                result.failures.append(f"proper RSK identity broken on {case}")
             if not specht.column_removal_check(kappa, mp):
-                result.failures.append(f"column removal broken on {case} | {repro}")
-    return result
+                result.failures.append(f"column removal broken on {case}")
+    return _with_rerun_line(result, repro)
 
 
 def suite_tableaux(
@@ -449,8 +445,7 @@ def suite_tableaux(
                         result.failures.append(
                             f"residue weight wrong for ({k},{mu},{filling})"
                         )
-    result.failures = [f"{failure} | {repro}" for failure in result.failures]
-    return result
+    return _with_rerun_line(result, repro)
 
 
 def _specht_pairs(span: int, max_level: int, max_size: int) -> int:

@@ -75,25 +75,27 @@ PHI_MAX_INPUTS = 16
 RSK_MAX_SEGMENTS = 400
 
 
-def _drop_stdout() -> None:
-    """Point stdout at os.devnull once its reader has closed the pipe.
+def _print_stdout(text: str) -> None:
+    """Print text to stdout, the one place the CLI writes its output.
 
-    Python flushes stdout at exit, and into a closed pipe that flush would
-    raise BrokenPipeError again (see "Note on SIGPIPE" in the signal docs).
+    A reader that closes the pipe early ends the output: stdout is then
+    pointed at os.devnull, since Python flushes stdout at exit and into a
+    closed pipe that flush would raise BrokenPipeError again (see "Note on
+    SIGPIPE" in the signal docs).
     """
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _print_envelope(status: str, payload: dict, diagnostics: list[str]) -> None:
     """The --json output of every outcome, success, failure or usage error."""
     envelope = {"status": status, "payload": payload, "diagnostics": diagnostics}
-    try:
-        print(json.dumps(envelope, indent=2, sort_keys=True))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        _drop_stdout()
+    _print_stdout(json.dumps(envelope, indent=2, sort_keys=True))
 
 
 # Each command returns its exit code, its --json payload and its text lines;
@@ -396,12 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         _print_envelope("ok" if code == 0 else "check_failure", payload, [])
     else:
-        try:
-            for line in lines:
-                print(line)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            _drop_stdout()
+        _print_stdout("\n".join(lines))
     return code
 
 

@@ -28,7 +28,9 @@ class _SparseMap:
     A dict from index to nonzero coefficient serves lookups, sums and the
     bilinear forms in O(support); the sorted tuple of its items is the
     canonical form behind equality, hashing and printing.  Maps of different
-    subclasses never compare equal.
+    subclasses never compare equal.  Every map, arithmetic results included,
+    is built by its class constructor, which sums repeated indices and drops
+    zeros (and runs a subclass's own checks), so no stored coefficient is zero.
     """
 
     __slots__ = ("_map", "_coeffs")
@@ -46,14 +48,6 @@ class _SparseMap:
         self._map: dict[int, int] = acc
         self._coeffs: tuple[tuple[int, int], ...] = tuple(sorted(acc.items()))
 
-    @classmethod
-    def _of_canonical(cls, coeffs: dict[int, int]) -> _SparseMap:
-        """Wrap a dict with no zero coefficient; the dict is kept, not copied."""
-        w = object.__new__(cls)
-        w._map = coeffs
-        w._coeffs = tuple(sorted(coeffs.items()))
-        return w
-
     def items(self) -> tuple[tuple[int, int], ...]:
         return self._coeffs
 
@@ -70,21 +64,15 @@ class _SparseMap:
 
     def dagger(self) -> _SparseMap:
         """Index negation a(i) -> a(-i); an additive involution."""
-        return self._of_canonical({-i: c for i, c in self._map.items()})
+        return type(self)((-i, c) for i, c in self._map.items())
 
     def _plus(self, other: _SparseMap, sign: int) -> _SparseMap:
         if type(other) is not type(self):
             return NotImplemented
         if not other._map:
             return self
-        acc = dict(self._map)
-        for i, c in other._map.items():
-            total = acc.get(i, 0) + sign * c
-            if total:
-                acc[i] = total
-            else:
-                del acc[i]
-        return self._of_canonical(acc)
+        signed = ((i, sign * c) for i, c in other._map.items())
+        return type(self)([*self._map.items(), *signed])
 
     def __add__(self, other: _SparseMap) -> _SparseMap:
         return self._plus(other, 1)
@@ -93,9 +81,7 @@ class _SparseMap:
         return self._plus(other, -1)
 
     def __rmul__(self, scalar: int) -> _SparseMap:
-        if not scalar:
-            return type(self)()
-        return self._of_canonical({i: scalar * c for i, c in self._map.items()})
+        return type(self)((i, scalar * c) for i, c in self._map.items())
 
     def __neg__(self) -> _SparseMap:
         return -1 * self
@@ -221,11 +207,6 @@ class DominantWeight(_SparseMap):
             raise ValueError("dominant weight coefficients must be non-negative")
 
     @classmethod
-    def _of_canonical(cls, coeffs: dict[int, int]) -> DominantWeight:
-        # arithmetic results go through the non-negativity check too
-        return cls(coeffs)
-
-    @classmethod
     def from_indices(cls, indices: Iterable[int]) -> DominantWeight:
         """Sum of fundamental weights at the given indices (with repetition)."""
         return cls((i, 1) for i in indices)
@@ -262,7 +243,7 @@ class LaurentPoly(_SparseMap):
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by q**k."""
-        return self._of_canonical({e + k: c for e, c in self._map.items()})
+        return type(self)((e + k, c) for e, c in self._map.items())
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.terms())!r})"

@@ -79,7 +79,11 @@ _RLEX = itemgetter(1, 0)
 
 
 class Multisegment:
-    """Finite multiset of segments in canonical right-lexicographic order."""
+    """Finite multiset of segments in canonical right-lexicographic order.
+
+    Every multisegment is built by this constructor, which sorts its
+    segments, so the order never rests on a caller's word.
+    """
 
     # the weights, the hash and is_ladder() are computed on first use and
     # kept, since the segments never change
@@ -91,17 +95,6 @@ class Multisegment:
         self._bw: Weight | None = None
         self._hash: int | None = None
         self._ladder: bool | None = None
-
-    @classmethod
-    def _of_sorted(cls, segs: tuple[Segment, ...]) -> Multisegment:
-        """Wrap segments already in canonical order, skipping the sort."""
-        m = object.__new__(cls)
-        m._segs = segs
-        m._wt = None
-        m._bw = None
-        m._hash = None
-        m._ladder = None
-        return m
 
     @classmethod
     def of(cls, *pairs: tuple[int, int]) -> Multisegment:
@@ -169,41 +162,29 @@ class Multisegment:
     def weight(self) -> Weight:
         """Sum of a(b)+...+a(e) over all segments."""
         if self._wt is None:
-            coeffs: dict[int, int] = {}
-            get = coeffs.get
-            for s in self._segs:
-                for i in range(s.b, s.e + 1):
-                    coeffs[i] = get(i, 0) + 1
-            self._wt = Weight._of_canonical(coeffs)
+            self._wt = Weight((i, 1) for b, e in self._segs for i in range(b, e + 1))
         return self._wt
 
     def begin_weight(self) -> Weight:
         """Sum of a(b) over all segments; its height is the segment count."""
         if self._bw is None:
-            coeffs: dict[int, int] = {}
-            get = coeffs.get
-            for s in self._segs:
-                coeffs[s.b] = get(s.b, 0) + 1
-            self._bw = Weight._of_canonical(coeffs)
+            self._bw = Weight((b, 1) for b, _ in self._segs)
         return self._bw
-
-    # derived, extended and shifted_right keep the order of (end, begin)
-    # keys, so their results need no re-sort
 
     def derived(self) -> Multisegment:
         """Shrink every segment from the left, dropping point segments."""
         derived = map(Segment.derived, self._segs)
-        return Multisegment._of_sorted(tuple(d for d in derived if d is not None))
+        return Multisegment(d for d in derived if d is not None)
 
     def extended(self) -> Multisegment:
         """Extend every segment by one to the left."""
-        return Multisegment._of_sorted(tuple(map(Segment.extended, self._segs)))
+        return Multisegment(map(Segment.extended, self._segs))
 
     def dagger(self) -> Multisegment:
         return Multisegment(s.dagger() for s in self._segs)
 
     def shifted_right(self) -> Multisegment:
-        return Multisegment._of_sorted(tuple(map(Segment.shifted_right, self._segs)))
+        return Multisegment(map(Segment.shifted_right, self._segs))
 
     def is_ladder(self) -> bool:
         """True iff nonempty and the segments form a chain under ll."""
@@ -223,7 +204,7 @@ class Multisegment:
         return Multisegment(remaining.elements())
 
     def to_json(self) -> list[list[int]]:
-        return [[s.b, s.e] for s in self._segs]
+        return [[b, e] for b, e in self._segs]
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> Multisegment:

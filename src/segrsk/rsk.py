@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import InvariantViolation, PreconditionError, ShapeViolation
 from .multisegment import Multisegment, Segment
@@ -30,7 +29,7 @@ Pair = tuple[int, int]
 
 
 def _pairs(m: Multisegment) -> list[Pair]:
-    return [(s.b, s.e) for s in m.segments]
+    return [(b, e) for b, e in m.segments]
 
 
 def _depth_list(pairs: Sequence[Pair]) -> list[int]:
@@ -99,20 +98,16 @@ def _kv_from_classes(
     return Multisegment(ladder_segs), Multisegment(rest_segs)
 
 
-_BEGIN = attrgetter("b")
-_END = attrgetter("e")
-
-
-def _keeps_endpoints(m: Multisegment, ladder: Multisegment, rest: Multisegment) -> bool:
-    """True iff ladder and rest together have m's begins and ends, as multisets.
+def _keeps_endpoints(
+    pairs: Sequence[Pair], ladder: Multisegment, rest: Multisegment
+) -> bool:
+    """True iff ladder and rest together have the begins and ends of pairs as multisets.
 
     This fixes the weight and the begin weight, since the coefficient of
     a(i) in wt is #{begins <= i} - #{ends < i}.
     """
     out = ladder.segments + rest.segments
-    return sorted(map(_BEGIN, out)) == sorted(map(_BEGIN, m.segments)) and sorted(
-        map(_END, out)
-    ) == sorted(map(_END, m.segments))
+    return [sorted(col) for col in zip(*out)] == [sorted(col) for col in zip(*pairs)]
 
 
 def knuth_viennot(m: Multisegment) -> tuple[Multisegment, Multisegment]:
@@ -128,7 +123,7 @@ def knuth_viennot(m: Multisegment) -> tuple[Multisegment, Multisegment]:
     ladder, rest = _kv_from_classes(pairs, _depth_classes(pairs))
     if not ladder.is_ladder():
         raise InvariantViolation(f"peeled component of {m} is not a ladder: {ladder}")
-    if not _keeps_endpoints(m, ladder, rest):
+    if not _keeps_endpoints(pairs, ladder, rest):
         raise InvariantViolation(f"begins or ends not conserved when peeling {m}")
     if not is_permissible_pair(ladder, rest):
         raise InvariantViolation(f"peeling {m} produced a non-permissible pair")
@@ -192,9 +187,9 @@ class LadderSequence:
         p_rows = []
         q_rows = []
         for lad in self.ladders:
-            desc = tuple(reversed(lad.segments))
-            p_rows.append(tuple(s.b for s in desc))
-            q_rows.append(tuple(s.e + 1 for s in desc))
+            desc = lad.segments[::-1]
+            p_rows.append(tuple(b for b, _ in desc))
+            q_rows.append(tuple(e + 1 for _, e in desc))
         pair = BitableauPair(InvertedSSYT(tuple(p_rows)), InvertedSSYT(tuple(q_rows)))
         if not pair.is_permissible():
             raise InvariantViolation(f"bitableau of ladders {self} is not permissible")

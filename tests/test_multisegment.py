@@ -146,7 +146,7 @@ def _domain_and_random_inputs():
 
 
 class TestOrderPreservingMaps:
-    """derived, extended and shifted_right skip the re-sort; the constructor does it."""
+    """derived, extended and shifted_right equal the constructor on the mapped segments."""
 
     def test_match_resorted(self):
         for m in _domain_and_random_inputs():

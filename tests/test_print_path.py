@@ -1,9 +1,10 @@
 """Where segrsk writes to stdout and stderr.
 
-Each CLI command returns its output, and cli.main prints it or the
-{status, payload, diagnostics} envelope through cli._print_envelope.  A
-print anywhere else would be a second output path; a new one needs an edit
-here.
+Each CLI command returns its output, and cli.main writes it, or the
+{status, payload, diagnostics} envelope, to stdout through
+cli._print_stdout; cli.main itself prints only its diagnostics to stderr.
+A print anywhere else would be a second output path; a new one needs an
+edit here.
 """
 
 import ast
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import segrsk
 
-PRINTERS = {"cli.main", "cli._print_envelope"}
+PRINTERS = {"cli.main", "cli._print_stdout"}
 
 
 def _is_print(node: ast.AST) -> bool:

@@ -145,20 +145,20 @@ class TestPeelInternals:
     def test_endpoint_postcondition_implies_weight_identity(self):
         for m in _domain_and_random_inputs():
             ladder, rest = knuth_viennot(m)
-            assert _keeps_endpoints(m, ladder, rest), str(m)
+            assert _keeps_endpoints(_pairs(m), ladder, rest), str(m)
             assert _weights_add_up(m, ladder, rest), str(m)
             # a corrupted rest breaks the weight identity, and then the
             # endpoint check must reject it too
             for bad in (rest.derived(), rest.shifted_right(), rest.extended()):
                 if bad != rest:
                     assert not _weights_add_up(m, ladder, bad), str(m)
-                    assert not _keeps_endpoints(m, ladder, bad), str(m)
+                    assert not _keeps_endpoints(_pairs(m), ladder, bad), str(m)
 
     def test_endpoint_postcondition_is_stronger(self):
         # same weight a(1) + a(2), different begins and ends
         m = M((1, 1), (2, 2))
         assert _weights_add_up(m, M((1, 2)), Multisegment())
-        assert not _keeps_endpoints(m, M((1, 2)), Multisegment())
+        assert not _keeps_endpoints(_pairs(m), M((1, 2)), Multisegment())
 
 
 class TestLadderSequence:
@@ -293,3 +293,24 @@ class TestAgainstOracles:
         # no entrywise identity is asserted, only well-formedness
         for m in enumerate_multisegments(EnumerationBounds(-1, 1, 3)):
             rsk_transform(m.dagger())
+
+
+class TestMetamorphic:
+    """Relations between the RSKs of two related inputs, checked on the bounded
+    domain and on seeded inputs far above the brute-force guards.
+
+    Shifting every segment one step right shifts every ladder, since the ll
+    order and hence the whole peel only see differences of endpoints.
+    Dagger reverses the ll order, and a poset and its dual have the same
+    width; the ladders themselves need not map to each other, so no
+    entrywise identity is asserted for dagger.
+    """
+
+    def test_shift_commutes_with_rsk(self):
+        for m in _domain_and_random_inputs():
+            shifted = [lad.shifted_right() for lad in rsk_transform(m)]
+            assert list(rsk_transform(m.shifted_right())) == shifted, str(m)
+
+    def test_dagger_keeps_width(self):
+        for m in _domain_and_random_inputs():
+            assert width(m.dagger()) == width(m), str(m)
