@@ -15,7 +15,7 @@ from .errors import (
     ShapeViolation,
     SizeGuardExceeded,
 )
-from .lattice import DominantWeight, LaurentPoly, Weight, cartan_form, ell_form
+from .lattice import LaurentPoly, Weight, cartan_form, ell_form
 from .multisegment import Multisegment, Segment, point_multisegment
 from .rsk import (
     LadderSequence,

@@ -88,7 +88,8 @@ def _instance_plan(pool_size: int, max_segments: int, sample: int) -> tuple[int,
 def bounded_instances(
     bounds: EnumerationBounds, seed: int, sample: int
 ) -> tuple[list[Multisegment], int]:
-    """Nonempty instances: exhaustive sizes while affordable, sampled beyond.
+    """Nonempty instances: exhaustive sizes while affordable, sampled beyond,
+    each draw uniform over the multisegments of the larger sizes.
 
     Returns the instance list and the size up to which it is exhaustive.
     """
@@ -107,7 +108,10 @@ def bounded_instances(
         drawn = []
         while len(drawn) < sample:
             k = rng.choices(sizes, weights=weights)[0]
-            m = Multisegment(rng.choices(pool, k=k))
+            # stars and bars: k sorted slots among pool + k - 1 pick a
+            # multiset of k pool segments, each multiset equally likely
+            slots = sorted(rng.sample(range(len(pool) + k - 1), k))
+            m = Multisegment(pool[c - i] for i, c in enumerate(slots))
             if m not in seen:
                 seen.add(m)
                 drawn.append(m)

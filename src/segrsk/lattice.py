@@ -6,8 +6,8 @@ Cartan form with (a(i),a(j)) = 2, -1, 0 according to |i-j| = 0, 1, >1, and a
 non-symmetric form with (a(i),a(j))_l = 1 for i=j, -1 for j=i+1, 0 otherwise.
 Their polarization identity (x,y)_l + (y,x)_l = (x,y) holds on the basis.
 
-Weights, Laurent polynomials in q and dominant weights are all finitely
-supported integer maps; they share one sparse representation.
+Weights and Laurent polynomials in q are both finitely supported integer
+maps; they share one sparse representation.
 
 All arithmetic is exact; Python integers never overflow.
 """
@@ -30,7 +30,7 @@ class _SparseMap:
     canonical form behind equality, hashing and printing.  Maps of different
     subclasses never compare equal.  Every map, arithmetic results included,
     is built by its class constructor, which sums repeated indices and drops
-    zeros (and runs a subclass's own checks), so no stored coefficient is zero.
+    zeros, so no stored coefficient is zero.
     """
 
     __slots__ = ("_map", "_coeffs")
@@ -117,10 +117,7 @@ class _SparseMap:
                 raise ParseError(f"bad {cls.__name__} key: {key!r}")
             if type(c) is not int or c == 0:
                 raise ParseError(f"bad {cls.__name__} coefficient at {i}: {c!r}")
-        try:
-            return cls(items)
-        except ValueError as exc:  # a subclass's own check, such as non-negativity
-            raise ParseError(str(exc)) from None
+        return cls(items)
 
 
 class Weight(_SparseMap):
@@ -194,22 +191,6 @@ def ell_form(b1: Weight, b2: Weight) -> int:
     for i, c in b1._map.items():
         total += c * (get(i, 0) - get(i + 1, 0))
     return total
-
-
-class DominantWeight(_SparseMap):
-    """Non-negative combination of fundamental weights, indexed by integers."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        super().__init__(coeffs)
-        if not self.is_positive():
-            raise ValueError("dominant weight coefficients must be non-negative")
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int]) -> DominantWeight:
-        """Sum of fundamental weights at the given indices (with repetition)."""
-        return cls((i, 1) for i in indices)
 
 
 class LaurentPoly(_SparseMap):

@@ -1,19 +1,19 @@
 """Brute-force reference implementations backing the test suite and checks.
 
 Everything here recomputes a main-path result by a separate route: the
-Dilworth width as the largest antichain, permissibility by trying every
-chain against every injective increasing assignment, depths and one peel by
-scanning every pair of Segment objects, the string form by a double loop
-over positions, the BZ derivative by a step at every index, tableau counts
-by hook lengths, and peeling determinism by re-running every admissible
-depth-class enumeration.
+Dilworth width as the largest antichain, the RSK ladders by Schensted row
+insertion, permissibility by trying every chain against every injective
+increasing assignment, depths and one peel by scanning every pair of
+Segment objects, the string form by a double loop over positions, the BZ
+derivative by a step at every index, tableau counts by hook lengths, and
+peeling determinism by re-running every admissible depth-class enumeration.
 Oracles refuse oversized instances instead of sampling.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import comb, factorial
@@ -85,6 +85,36 @@ def dilworth_width(m: Multisegment) -> int:
         k = bisect_right(tails, neg_end)
         tails[k : k + 1] = [neg_end]  # replaces tails[k], or appends at the end
     return len(tails)
+
+
+def insertion_ladders(m: Multisegment) -> tuple[Multisegment, ...]:
+    """The RSK ladders of m by Schensted row insertion, without peeling.
+
+    Each occurrence [b, e] is the point (-b, -e).  Taken by -b ascending,
+    and by -e descending among equal begins, each -e is row-inserted,
+    bumping the leftmost entry >= it, and -b is recorded in the new box.
+    Row r of the insertion tableau P holds the negated ends of ladder r and
+    row r of the recording tableau Q its negated begins, both ascending, so
+    they pair up in order into its segments.
+    """
+    p_rows: list[list[int]] = []
+    q_rows: list[list[int]] = []
+    for x, e in sorted((-b, e) for b, e in m.segments):
+        y = -e
+        for p_row, q_row in zip(p_rows, q_rows):
+            k = bisect_left(p_row, y)
+            if k == len(p_row):
+                p_row.append(y)
+                q_row.append(x)
+                break
+            y, p_row[k] = p_row[k], y
+        else:
+            p_rows.append([y])
+            q_rows.append([x])
+    return tuple(
+        Multisegment(Segment(-x, -y) for x, y in zip(q_row, p_row))
+        for p_row, q_row in zip(p_rows, q_rows)
+    )
 
 
 def reference_depths(segs: Sequence[Segment]) -> list[int]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolation, ParseError, PreconditionError
-from .lattice import DominantWeight, Weight
+from .lattice import Weight
 from .multisegment import Multisegment, Segment
 from .rsk import rsk_transform
 from .tableaux import Partition
@@ -51,9 +51,6 @@ class Multicharge:
 
     def dagger(self) -> Multicharge:
         return Multicharge(tuple(-k for k in reversed(self.charges)))
-
-    def dominant_weight(self) -> DominantWeight:
-        return DominantWeight.from_indices(self.charges)
 
     def __iter__(self):
         return iter(self.charges)

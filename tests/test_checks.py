@@ -4,6 +4,7 @@ and the size rules run_suite checks before any suite runs."""
 import ast
 import itertools
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,27 @@ class TestSizePlan:
         result = suite_rsk(bounds, 1, 12)
         assert (result.exhaustive_through, result.sampled) == (1, 12)
         assert plan["rsk"] == (6 + result.cases, result.cases)
+
+    def test_sampling_reaches_every_multisegment(self, monkeypatch):
+        # [0, 1] holds three segments, so sizes 1 and 2 are exhaustive and the
+        # sample asks for all 959 larger multisegments, including sixteen
+        # copies of one segment, which one in 3**16 sequence draws would give
+        monkeypatch.setattr(checks, "EXHAUSTIVE_INSTANCES", 10)
+        bounds = EnumerationBounds(0, 1, 16)
+
+        def stalled(signum, frame):
+            raise TimeoutError("bounded_instances did not finish near its cap")
+
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(10)
+        try:
+            instances, exhaustive = bounded_instances(bounds, 0, 10**6)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert exhaustive == 2
+        assert len(instances) == 968
+        assert set(instances) == set(enumerate_multisegments(bounds)) - {Multisegment()}
 
     @pytest.mark.parametrize("max_segments, cases", [(0, 0), (1, 2)])
     def test_strings_draws_no_more_pairs_than_instances_make(self, max_segments, cases):

@@ -1,10 +1,9 @@
 """Every segrsk value is built by its class constructor.
 
-Canonical segment order, zero-free sparse maps and non-negative dominant
-weights hold because the constructors make them so; equality, hashing and
-every suite memo rely on that.  A function that calls object.__new__ builds
-a value on its caller's word instead, skipping those steps.  A new bypass
-needs an entry here.
+Canonical segment order and zero-free sparse maps hold because the
+constructors make them so; equality, hashing and every suite memo rely on
+that.  A function that calls object.__new__ builds a value on its caller's
+word instead, skipping those steps.  A new bypass needs an entry here.
 """
 
 import ast

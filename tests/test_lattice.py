@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from segrsk.errors import ParseError
 from segrsk.lattice import (
-    DominantWeight,
     LaurentPoly,
     Weight,
     cartan_form,
@@ -155,21 +154,6 @@ class TestAgainstBasisDefinition:
             self._check(b1, b1 + b2)
 
 
-class TestDominantWeight:
-    def test_level(self):
-        lam = DominantWeight.from_indices([2, 1, -1])
-        assert lam.height() == 3
-        assert lam.coeff(1) == 1
-
-    def test_dagger(self):
-        lam = DominantWeight.from_indices([2, 1, -1])
-        assert lam.dagger() == DominantWeight.from_indices([-2, -1, 1])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            DominantWeight([(0, -1)])
-
-
 polys = st.builds(
     LaurentPoly,
     st.lists(st.tuples(st.integers(-5, 5), st.integers(-9, 9)), max_size=5),
@@ -257,13 +241,6 @@ POLY_GOLDENS = [
     ),
 ]
 
-DOMINANT_GOLDENS = [
-    (DominantWeight(), "DominantWeight({})"),
-    (DominantWeight.from_indices([2, 1, -1]), "DominantWeight({-1: 1, 1: 1, 2: 1})"),
-    (DominantWeight.from_indices([0, 0, 3]), "DominantWeight({0: 2, 3: 1})"),
-    (DominantWeight([(5, 2), (-4, 1), (5, -1)]), "DominantWeight({-4: 1, 5: 1})"),
-]
-
 
 class TestPinnedForms:
     @pytest.mark.parametrize("w, text, rep, js", WEIGHT_GOLDENS)
@@ -282,21 +259,16 @@ class TestPinnedForms:
         assert list(p.to_json().items()) == [(str(e), c) for e, c in terms]
         assert LaurentPoly.from_json(p.to_json()) == p
 
-    @pytest.mark.parametrize("lam, rep", DOMINANT_GOLDENS)
-    def test_dominant_weight(self, lam, rep):
-        assert str(lam) == rep
-        assert repr(lam) == rep
-
 
 class TestSharedBase:
     def test_classes_never_equal(self):
-        maps = [Weight({1: 1}), LaurentPoly({1: 1}), DominantWeight({1: 1})]
+        maps = [Weight({1: 1}), LaurentPoly({1: 1})]
         for i, x in enumerate(maps):
             for j, y in enumerate(maps):
                 assert (x == y) == (i == j)
 
     def test_classes_never_mix(self):
-        maps = [Weight({1: 1}), LaurentPoly({1: 1}), DominantWeight({1: 1})]
+        maps = [Weight({1: 1}), LaurentPoly({1: 1})]
         for x in maps:
             for y in maps:
                 if x is not y:
@@ -306,26 +278,9 @@ class TestSharedBase:
                         x - y
 
     def test_zero_maps_are_falsy(self):
-        for zero in (Weight(), alpha(0) - alpha(0), LaurentPoly(), DominantWeight()):
+        for zero in (Weight(), alpha(0) - alpha(0), LaurentPoly()):
             assert not zero, repr(zero)
         assert alpha(3)
-
-    def test_dominant_accepts_cancelled_negative(self):
-        lam = DominantWeight([(0, -1), (0, 1)])
-        assert lam == DominantWeight()
-        assert lam.height() == 0
-
-    def test_dominant_rejects_negative_sum(self):
-        with pytest.raises(ValueError):
-            DominantWeight([(0, -1)])
-
-    def test_dominant_arithmetic_keeps_non_negative(self):
-        lam = DominantWeight.from_indices([0, 1])
-        assert lam + lam == DominantWeight({0: 2, 1: 2})
-        with pytest.raises(ValueError):
-            lam - DominantWeight.from_indices([0, 0])
-        with pytest.raises(ValueError):
-            -1 * lam
 
 
 # exponents [-_SPAN, _SPAN] of the dense reference; products and shifts of
@@ -358,8 +313,6 @@ class TestFromJsonErrors:
             (Weight, {"1": None}),
             (Weight, None),
             (LaurentPoly, "1"),
-            (DominantWeight, {"0": -1}),
-            (DominantWeight, {"a": 1}),
             # keys and coefficients that to_json never writes
             (Weight, {"1_0": 1}),
             (Weight, {" 1": 2}),
@@ -370,7 +323,6 @@ class TestFromJsonErrors:
             (Weight, {"1": 1, "01": 2}),
             (Weight, {"1": 0}),
             (LaurentPoly, {"0": 0}),
-            (DominantWeight, {"0": 0}),
         ],
     )
     def test_malformed(self, cls, data):
@@ -380,14 +332,10 @@ class TestFromJsonErrors:
     def test_well_formed(self):
         assert Weight.from_json({"1": 2, "-3": 1}) == Weight({1: 2, -3: 1})
         assert LaurentPoly.from_json({"2": 1, "0": -1}) == LaurentPoly({2: 1, 0: -1})
-        assert DominantWeight.from_json({"0": 2}) == DominantWeight({0: 2})
         assert Weight.from_json({}) == Weight()
 
 
-dominant_weights = st.lists(
-    st.tuples(st.integers(-6, 6), st.integers(0, 4)), max_size=6
-).map(DominantWeight)
-SPARSE_MAPS = {Weight: weights, LaurentPoly: small_polys, DominantWeight: dominant_weights}
+SPARSE_MAPS = {Weight: weights, LaurentPoly: small_polys}
 
 
 def _misspelt(i: int) -> list:

@@ -1,4 +1,9 @@
-"""Each operation of the library has one public name, listed once."""
+"""Each operation of the library has one public name, listed once.
+
+A name no segrsk code references is pinned here with the reader it serves,
+so a name that loses its last caller shows up in review.  A new entry needs
+an edit here.
+"""
 
 import ast
 import importlib
@@ -69,3 +74,60 @@ def test_all_is_every_name_init_imports():
         for alias in node.names
     ]
     assert segrsk.__all__ == sorted(imported)
+
+
+# defined in segrsk and referenced by no segrsk code, with the reader each serves
+UNREFERENCED = {
+    "lattice.LaurentPoly.one": "test-only constructor of the polynomial 1",
+    "lattice.LaurentPoly.q_power": "test-only constructor; criterion 7 shifts by it",
+    "lattice.Weight.alpha": "test-only constructor of a simple root",
+    "lattice.Weight.in_subcone": "reference for the endpoint support check of strings",
+    "lattice.Weight.support": "support of the bilinear-form basis checks",
+    "lattice._SparseMap.height": "level and size identities in the tests",
+    "multisegment.Multisegment.of": "test-only constructor from endpoint pairs",
+    "multisegment.point_multisegment": "test-only: the point multisegment of a weight",
+    "oracle.insertion_ladders": "oracle: the RSK ladders by row insertion",
+    "oracle.reference_peel": "oracle: one peel on Segment objects",
+    "oracle.reference_string_form": "oracle: the string form by its definition",
+    "rsk.depth_function": "timed by perfbench",
+    "specht.Multicharge.of": "test-only constructor",
+    "specht.content_multi": "the content identity of Multipartition.dagger",
+    "strings.phi_weights": "traced by perfbench; the checked grading shift",
+    "strings.string_form": "the checked string form, against its oracle",
+    "strings.transfer_multiplicities": "acceptance criterion 7",
+    "tableaux.InvertedSSYT.of": "test-only constructor",
+    "tableaux.Partition.of": "test-only constructor",
+}
+
+
+def _unreferenced() -> set[str]:
+    """Functions, methods and classes (dunders aside) whose name no segrsk
+    code uses as a name, an attribute or an import, __init__'s imports aside."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+
+    def visit(node: ast.AST, prefix: str, skip_imports: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    defined[name] = child.name
+                visit(child, name, skip_imports)
+                continue
+            if skip_imports and isinstance(child, ast.ImportFrom):
+                continue
+            if isinstance(child, ast.Name):
+                used.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                used.add(child.attr)
+            elif isinstance(child, ast.alias):
+                used.add(child.asname or child.name)
+            visit(child, prefix, skip_imports)
+
+    for path in Path(segrsk.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, path.stem == "__init__")
+    return {name for name, bare in defined.items() if bare not in used}
+
+
+def test_unreferenced_names_are_the_pinned_ones():
+    assert _unreferenced() == set(UNREFERENCED)

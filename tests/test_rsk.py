@@ -115,9 +115,10 @@ class TestPeelTrace:
             assert rsk_transform(m).ladders == tuple(lad for lad, _ in steps)
 
 
-def _domain_and_random_inputs():
-    """Every nonempty input of EnumerationBounds(-2, 2, 4), then seeded random ones."""
-    for m in enumerate_multisegments(EnumerationBounds(-2, 2, 4)):
+def _domain_and_random_inputs(max_segments=4):
+    """Every nonempty input of EnumerationBounds(-2, 2, max_segments), then
+    seeded random ones."""
+    for m in enumerate_multisegments(EnumerationBounds(-2, 2, max_segments)):
         if m:
             yield m
     rng = random.Random(4031)
@@ -295,15 +296,35 @@ class TestAgainstOracles:
             rsk_transform(m.dagger())
 
 
+class TestRowInsertion:
+    """Schensted row insertion of the points (-b, -e) gives the RSK ladders.
+
+    The peel is Viennot's shadow-line construction, which yields the rows
+    of row insertion; oracle.insertion_ladders shares no code with the peel.
+    """
+
+    def test_matches_rsk_transform(self):
+        chain = [(i - 2, i) for i in range(100)]
+        families = [
+            M(*((-i, i) for i in range(200))),  # nested: width 200
+            M(*[(0, 0)] * 200),  # one repeated point
+            M(*chain, *chain),  # two equal chains: width 2
+        ]
+        for m in itertools.chain(_domain_and_random_inputs(5), families):
+            assert oracle.insertion_ladders(m) == rsk_transform(m).ladders, str(m)
+
+
 class TestMetamorphic:
     """Relations between the RSKs of two related inputs, checked on the bounded
     domain and on seeded inputs far above the brute-force guards.
 
     Shifting every segment one step right shifts every ladder, since the ll
     order and hence the whole peel only see differences of endpoints.
-    Dagger reverses the ll order, and a poset and its dual have the same
-    width; the ladders themselves need not map to each other, so no
-    entrywise identity is asserted for dagger.
+    Dagger maps the point (-b, -e) of row insertion to (e, b): a transpose,
+    which swaps the two tableaux, followed by a half turn, which evacuates
+    both.  Neither changes the shape, so the ladder sizes agree; the
+    ladders themselves need not map to each other, so no entrywise
+    identity is asserted for dagger.
     """
 
     def test_shift_commutes_with_rsk(self):
@@ -311,6 +332,7 @@ class TestMetamorphic:
             shifted = [lad.shifted_right() for lad in rsk_transform(m)]
             assert list(rsk_transform(m.shifted_right())) == shifted, str(m)
 
-    def test_dagger_keeps_width(self):
+    def test_dagger_keeps_shape(self):
         for m in _domain_and_random_inputs():
-            assert width(m.dagger()) == width(m), str(m)
+            shape = [len(lad) for lad in rsk_transform(m)]
+            assert [len(lad) for lad in rsk_transform(m.dagger())] == shape, str(m)

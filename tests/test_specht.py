@@ -45,11 +45,6 @@ class TestMulticharge:
         assert KAPPA.dagger() == Multicharge.of(1, -1, -2)
         assert KAPPA.dagger().dagger() == KAPPA
 
-    def test_dominant_weight(self):
-        lam = KAPPA.dominant_weight()
-        assert lam.height() == 3
-        assert lam.dagger() == KAPPA.dagger().dominant_weight()
-
 
 class TestContent:
     def test_examples(self):
