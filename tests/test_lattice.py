@@ -313,6 +313,8 @@ class TestFromJsonErrors:
             (Weight, {"1": None}),
             (Weight, None),
             (LaurentPoly, "1"),
+            (LaurentPoly, {"a": 1}),
+            (Weight, {"0": "-1"}),
             # keys and coefficients that to_json never writes
             (Weight, {"1_0": 1}),
             (Weight, {" 1": 2}),
