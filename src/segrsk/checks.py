@@ -40,6 +40,10 @@ CHECK_MAX_CASES = 2_000_000
 # Most segments per instance for combi, rsk and strings (a sampled
 # 16-segment instance takes about 0.4 ms in suite_rsk).
 CHECK_MAX_SEGMENTS = 16
+# Highest multicharge level for specht: each of its cases builds and checks
+# a tuple of level components (a walked pair at level 16 took 0.02 to
+# 0.14 ms, about what one at criterion 4's level 3 takes).
+CHECK_MAX_LEVEL = 16
 # Widest support |min|, |max| for combi and strings: every case of theirs
 # builds or reads a BZ vector of 2t + 1 entries.
 CHECK_MAX_SUPPORT = 100
@@ -183,7 +187,8 @@ def suite_combi(
 def suite_rsk(
     bounds: EnumerationBounds, seed: int = 0, sample: int = 10_000
 ) -> SuiteResult:
-    """RSK well-formedness, width, permissibility, injectivity, bitableaux."""
+    """RSK well-formedness and row insertion, width, permissibility,
+    injectivity, bitableaux."""
     result = SuiteResult("rsk")
     repro = _repro("rsk", bounds, seed, sample)
     instances, exhaustive_size = bounded_instances(bounds, seed, sample)
@@ -212,9 +217,8 @@ def suite_rsk(
         except (InvariantViolation, ShapeViolation) as exc:
             result.failures.append(f"RSK({m}) failed: {exc}")
             continue
-        wt_sum = Multisegment(s for lad in transform for s in lad.segments)
-        if wt_sum.weight() != m.weight() or wt_sum.begin_weight() != m.begin_weight():
-            result.failures.append(f"RSK({m}) does not conserve wt/b")
+        if oracle.insertion_ladders(m) != transform.ladders:
+            result.failures.append(f"RSK({m}) differs from row insertion")
         prev_width = oracle.dilworth_width(m)
         if len(transform) != prev_width:
             result.failures.append(f"width({m})={len(transform)} != Dilworth {prev_width}")
@@ -531,13 +535,17 @@ def run_suite(
 
     An unknown suite name, a level cap below 1, a negative sample size or a
     suite with no case to walk would check nothing and still pass, so all are
-    preconditions, checked before any suite runs; so are the size rules of
-    size_plan.
+    preconditions, checked before any suite runs; so are the level cap
+    CHECK_MAX_LEVEL and the size rules of size_plan.
     """
     if name not in SUITES:
         raise PreconditionError(f"unknown suite {name!r}, expected one of {', '.join(SUITES)}")
     if max_level < 1:
         raise PreconditionError(f"multicharge level cap must be at least 1, got {max_level}")
+    if max_level > CHECK_MAX_LEVEL:
+        raise PreconditionError(
+            f"multicharge level cap {max_level} is above the cap {CHECK_MAX_LEVEL}"
+        )
     if sample < 0:
         raise PreconditionError(f"sample size must be non-negative, got {sample}")
     for suite, (held, walked) in size_plan(name, bounds, sample, max_level).items():

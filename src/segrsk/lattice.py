@@ -25,15 +25,15 @@ _TERM_RE = re.compile(r"^(-)?(?:(\d+)\*)?a\((-?\d+)\)$")
 class _SparseMap:
     """Finitely supported map from integers to nonzero integers.
 
-    A dict from index to nonzero coefficient serves lookups, sums and the
-    bilinear forms in O(support); the sorted tuple of its items is the
-    canonical form behind equality, hashing and printing.  Maps of different
-    subclasses never compare equal.  Every map, arithmetic results included,
-    is built by its class constructor, which sums repeated indices and drops
-    zeros, so no stored coefficient is zero.
+    One dict from index to nonzero coefficient serves lookups, sums,
+    equality, hashing and the bilinear forms in O(support); printing and
+    JSON sort its items when called.  Maps of different subclasses never
+    compare equal.  Every map, arithmetic results included, is built by its
+    class constructor, which sums repeated indices and drops zeros, so no
+    stored coefficient is zero.
     """
 
-    __slots__ = ("_map", "_coeffs")
+    __slots__ = ("_map",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -46,10 +46,9 @@ class _SparseMap:
         if 0 in acc.values():
             acc = {i: c for i, c in acc.items() if c != 0}
         self._map: dict[int, int] = acc
-        self._coeffs: tuple[tuple[int, int], ...] = tuple(sorted(acc.items()))
 
     def items(self) -> tuple[tuple[int, int], ...]:
-        return self._coeffs
+        return tuple(sorted(self._map.items()))
 
     def coeff(self, i: int) -> int:
         return self._map.get(i, 0)
@@ -87,19 +86,19 @@ class _SparseMap:
         return -1 * self
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._coeffs == other._coeffs
+        return type(other) is type(self) and self._map == other._map
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(frozenset(self._map.items()))
 
     def __bool__(self) -> bool:
         return bool(self._map)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self._coeffs)!r})"
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
     def to_json(self) -> dict[str, int]:
-        return {str(i): c for i, c in self._coeffs}
+        return {str(i): c for i, c in self.items()}
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> _SparseMap:
@@ -131,7 +130,7 @@ class Weight(_SparseMap):
         return cls(((i, 1),))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self._coeffs)
+        return tuple(sorted(self._map))
 
     def leq(self, other: Weight) -> bool:
         """Cone order: self <= other iff other - self has no negative coefficient."""
@@ -145,10 +144,10 @@ class Weight(_SparseMap):
         return self.is_positive() and all(-n <= i <= n for i in self._map)
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._map:
             return "0"
         terms = []
-        for i, c in self._coeffs:
+        for i, c in self.items():
             if c == 1:
                 terms.append(f"a({i})")
             else:
@@ -211,13 +210,15 @@ class LaurentPoly(_SparseMap):
         return cls(((k, coeff),))
 
     def terms(self) -> tuple[tuple[int, int], ...]:
-        return self._coeffs[::-1]
+        return self.items()[::-1]
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
             return _SparseMap.__rmul__(self, other)
         return LaurentPoly(
-            (e1 + e2, c1 * c2) for e1, c1 in self._coeffs for e2, c2 in other._coeffs
+            (e1 + e2, c1 * c2)
+            for e1, c1 in self._map.items()
+            for e2, c2 in other._map.items()
         )
 
     __rmul__ = __mul__
@@ -230,7 +231,7 @@ class LaurentPoly(_SparseMap):
         return f"LaurentPoly({dict(self.terms())!r})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._map:
             return "0"
         parts = []
         for e, c in self.terms():

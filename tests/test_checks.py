@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from _inputs import random_multisegment
 from segrsk import checks, oracle, rsk
 from segrsk.checks import (
     CHECK_MAX_CASES,
     CHECK_MAX_HELD,
+    CHECK_MAX_LEVEL,
     bounded_instances,
     iter_multicharges,
     iter_multipartitions,
@@ -27,13 +29,6 @@ from segrsk.multisegment import Multisegment
 from segrsk.oracle import EnumerationBounds, enumerate_multisegments
 from segrsk.rsk import _peel_trace
 from segrsk.specht import Multipartition
-from segrsk.tableaux import Partition
-
-
-def _random_multisegment(rng, n):
-    return Multisegment.of(
-        *((b, b + rng.randint(0, 6)) for b in (rng.randint(-20, 20) for _ in range(n)))
-    )
 
 
 @pytest.fixture
@@ -74,7 +69,7 @@ class TestPeelTrace:
         rng = random.Random(7100 + n)
         steps = {}
         for _ in range(3 if n < 400 else 1):
-            m = _random_multisegment(rng, n)
+            m = random_multisegment(rng, n)
             # a second pass reads every step back from the memo
             assert _peel_trace(m, steps, n) == rsk.peel_trace(m)
             assert _peel_trace(m, steps, n) == rsk.peel_trace(m)
@@ -83,7 +78,7 @@ class TestPeelTrace:
         rng = random.Random(7003)
         steps = {}
         for n in (3, 6, 12):
-            m = _random_multisegment(rng, n)
+            m = random_multisegment(rng, n)
             assert _peel_trace(m, steps, 4) == rsk.peel_trace(m)
         assert steps
         assert all(len(x) <= 4 for x in steps)
@@ -185,6 +180,18 @@ class TestSuiteMutations:
             m for m in enumerate_multisegments(self.BOUNDS) if len(m) == 2
         ]
         assert len(result.failures) == len(two_segment)
+
+    def test_insertion_ladders_mutation(self, instances, monkeypatch):
+        # row insertion that drops the last ladder of one 3-segment instance
+        target = Multisegment.of((0, 0), (0, 0), (0, 0))
+        true_insertion = oracle.insertion_ladders
+        monkeypatch.setattr(
+            oracle, "insertion_ladders", lambda m: true_insertion(m)[: -1 if m == target else None]
+        )
+        result = suite_rsk(self.BOUNDS)
+        assert [f.partition(" | ")[0] for f in result.failures] == [
+            f"RSK({target}) differs from row insertion"
+        ]
 
     def test_corrupted_extended_peel(self, instances, monkeypatch):
         true_peel = rsk.knuth_viennot
@@ -398,7 +405,7 @@ class TestSizePlan:
             ("strings", EnumerationBounds(-3, 3, 8), 100_000, 3, "strings would hold"),
             ("rsk", EnumerationBounds(-4, 4, 6), 10, 3, "kv would check"),
             ("specht", EnumerationBounds(-2, 2, 16), 10, 3, "specht would check"),
-            ("specht", EnumerationBounds(0, 0, 0), 10, CHECK_MAX_CASES + 1, "specht would check"),
+            ("specht", EnumerationBounds(0, 0, 0), 10, CHECK_MAX_CASES + 1, "level cap 2000001"),
             # a suite with nothing to walk would pass without checking
             ("rsk", EnumerationBounds(-2, 2, 0), 10_000, 3, "rsk would check no case"),
             ("strings", EnumerationBounds(0, 0, 0), 0, 3, "strings would check no case"),
@@ -412,6 +419,14 @@ class TestSizePlan:
             monkeypatch.setattr(checks, suite, None)
         with pytest.raises(PreconditionError, match=words):
             run_suite(name, bounds, 0, sample, level)
+
+    def test_level_cap_is_inclusive(self, monkeypatch):
+        bounds = EnumerationBounds(0, 0, 0)
+        (result,) = run_suite("specht", bounds, 0, 10, CHECK_MAX_LEVEL)
+        assert result.cases == _walked_specht_pairs(0, 0, CHECK_MAX_LEVEL, 0)
+        monkeypatch.setattr(checks, "suite_specht", None)
+        with pytest.raises(PreconditionError, match=f"above the cap {CHECK_MAX_LEVEL}$"):
+            run_suite("specht", bounds, 0, 10, CHECK_MAX_LEVEL + 1)
 
     def test_caps_are_inclusive(self, monkeypatch):
         bounds = EnumerationBounds(-1, 1, 2)
@@ -443,28 +458,6 @@ class TestSuiteNames:
         with pytest.raises(SystemExit):
             parser.parse_args(["check", "--suite", "kv"])
         assert f"(choose from {', '.join(map(repr, checks.SUITES))})" in capsys.readouterr().err
-
-
-def _recursive_partitions_of(n: int) -> tuple[Partition, ...]:
-    """partitions_of as the recursion it once was."""
-    if n == 0:
-        return (Partition(),)
-    out = []
-
-    def build(remaining, cap, acc):
-        if remaining == 0:
-            out.append(Partition(acc))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            build(remaining - part, part, acc + (part,))
-
-    build(n, n, ())
-    return tuple(out)
-
-
-def test_partitions_of_keeps_the_recursive_order():
-    for n in range(13):
-        assert partitions_of(n) == _recursive_partitions_of(n)
 
 
 class TestIterMultipartitions:

@@ -1,12 +1,12 @@
 import copy
 import json
 import pickle
-import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _inputs import domain_and_seeded
 from segrsk.errors import ParseError, PreconditionError
 from segrsk.lattice import Weight
 from segrsk.multisegment import Multisegment, Segment, point_multisegment
@@ -133,34 +133,6 @@ class TestDeriveExtend:
         assert m.derived().weight() + m.begin_weight() == m.weight()
 
 
-def _domain_and_random_inputs():
-    """All of EnumerationBounds(-2, 2, 4), then seeded random inputs up to n = 400."""
-    yield from enumerate_multisegments(EnumerationBounds(-2, 2, 4))
-    rng = random.Random(5147)
-    for n in (25, 100, 400):
-        for _ in range(3):
-            yield Multisegment(
-                Segment(b, b + rng.randint(0, 6))
-                for b in (rng.randint(-20, 20) for _ in range(n))
-            )
-
-
-class TestOrderPreservingMaps:
-    """derived, extended and shifted_right equal the constructor on the mapped segments."""
-
-    def test_match_resorted(self):
-        for m in _domain_and_random_inputs():
-            derived = [s.derived() for s in m]
-            assert m.derived() == Multisegment(d for d in derived if d is not None)
-            assert m.extended() == Multisegment(s.extended() for s in m)
-            assert m.shifted_right() == Multisegment(s.shifted_right() for s in m)
-
-    def test_weight_maps_match_per_index_sums(self):
-        for m in _domain_and_random_inputs():
-            assert m.weight() == Weight((i, 1) for s in m for i in range(s.b, s.e + 1))
-            assert m.begin_weight() == Weight((s.b, 1) for s in m)
-
-
 class TestDagger:
     def test_examples(self):
         assert Multisegment.of((1, 3)).dagger() == Multisegment.of((-3, -1))
@@ -199,7 +171,8 @@ class TestCachedHashAndLadder:
     """hash and is_ladder are kept on first use; they equal a fresh computation."""
 
     def test_match_fresh_computation(self):
-        for m in _domain_and_random_inputs():
+        inputs = domain_and_seeded(5147, counts=((25, 3), (100, 3), (400, 3)))
+        for m in [Multisegment(), *inputs]:
             for x in (m, m.derived(), m.extended(), m.shifted_right()):
                 for _ in range(2):
                     assert hash(x) == hash(x.segments)

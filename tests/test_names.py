@@ -86,7 +86,6 @@ UNREFERENCED = {
     "lattice._SparseMap.height": "level and size identities in the tests",
     "multisegment.Multisegment.of": "test-only constructor from endpoint pairs",
     "multisegment.point_multisegment": "test-only: the point multisegment of a weight",
-    "oracle.insertion_ladders": "oracle: the RSK ladders by row insertion",
     "oracle.reference_peel": "oracle: one peel on Segment objects",
     "oracle.reference_string_form": "oracle: the string form by its definition",
     "rsk.depth_function": "timed by perfbench",

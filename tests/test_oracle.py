@@ -1,12 +1,11 @@
 import gc
-import itertools
 import math
-import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _inputs import all_nested_enumerations
 from segrsk.errors import PreconditionError, SizeGuardExceeded
 from segrsk.multisegment import Multisegment
 from segrsk.oracle import (
@@ -88,64 +87,6 @@ class TestDilworth:
             gc.enable()
 
 
-def _recursive_dilworth_width(m: Multisegment) -> int:
-    """Minimum chain cover by a recursive augmenting-path matching on ll-pairs."""
-    segs = m.segments
-    n = len(segs)
-    adj = [[j for j in range(n) if segs[i].ll(segs[j])] for i in range(n)]
-    match_right = [None] * n
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] is None or augment(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
-
-    return n - sum(1 for i in range(n) if augment(i, [False] * n))
-
-
-class TestDilworthAgainstRecursion:
-    def test_bounded_domain(self):
-        for m in enumerate_multisegments(EnumerationBounds(-2, 2, 4)):
-            assert dilworth_width(m) == _recursive_dilworth_width(m), str(m)
-
-    @pytest.mark.parametrize("n", [25, 100, 400])
-    def test_seeded_large_inputs(self, n):
-        rng = random.Random(n)
-        for _ in range(3):
-            begins = [rng.randint(-20, 20) for _ in range(n)]
-            m = Multisegment.of(*((b, b + rng.randint(0, 6)) for b in begins))
-            assert dilworth_width(m) == _recursive_dilworth_width(m)
-
-
-def _largest_antichain(m: Multisegment) -> int:
-    """The most occurrences that are pairwise ll-incomparable, over all subsets."""
-    segs = m.segments
-    for size in range(len(segs), 0, -1):
-        for subset in itertools.combinations(segs, size):
-            if not any(x.ll(y) or y.ll(x) for x, y in itertools.combinations(subset, 2)):
-                return size
-    return 0
-
-
-class TestDilworthIsTheLargestAntichain:
-    def test_bounded_domain(self):
-        for m in enumerate_multisegments(EnumerationBounds(-1, 1, 5)):
-            assert dilworth_width(m) == _largest_antichain(m), str(m)
-
-    @pytest.mark.parametrize("n", range(6, 11))
-    def test_seeded_inputs(self, n):
-        rng = random.Random(n)
-        for _ in range(5):
-            m = Multisegment.of(
-                *((b, b + rng.randint(0, 3)) for b in (rng.randint(-3, 3) for _ in range(n)))
-            )
-            assert dilworth_width(m) == _largest_antichain(m), str(m)
-
-
 class TestBrutePermissible:
     def test_examples(self):
         assert brute_permissible(M((1, 2)), M((1, 1)))
@@ -182,37 +123,14 @@ class TestKvChoiceIndependence:
         with pytest.raises(SizeGuardExceeded):
             kv_choice_independence(big)
 
-    def test_exhaustive_small(self):
-        for m in enumerate_multisegments(EnumerationBounds(-1, 1, 4)):
-            if m:
-                assert kv_choice_independence(m), str(m)
-
-
-def _all_nested_enumerations(pairs, idxs):
-    """The class filter as an index-arithmetic all() over every permutation."""
-    return [
-        perm
-        for perm in itertools.permutations(idxs)
-        if all(
-            pairs[perm[r]][0] <= pairs[perm[r + 1]][0]
-            and pairs[perm[r]][1] >= pairs[perm[r + 1]][1]
-            for r in range(len(perm) - 1)
-        )
-    ]
-
 
 class TestNestedEnumerations:
     def _assert_matches(self, m):
         pairs = _pairs(m)
         for idxs in _depth_classes(pairs).values():
-            assert _nested_enumerations(pairs, idxs) == _all_nested_enumerations(
+            assert _nested_enumerations(pairs, idxs) == all_nested_enumerations(
                 pairs, idxs
             ), str(m)
-
-    def test_matches_all_predicate_on_bounded_domain(self):
-        for m in enumerate_multisegments(EnumerationBounds(-2, 2, 4)):
-            if m:
-                self._assert_matches(m)
 
     @given(
         st.lists(
@@ -230,4 +148,4 @@ class TestNestedEnumerations:
     def test_matches_all_predicate_on_any_index_set(self, pairs):
         # not only depth classes: any pairs, any order of their indices
         idxs = list(range(len(pairs)))[::-1]
-        assert _nested_enumerations(pairs, idxs) == _all_nested_enumerations(pairs, idxs)
+        assert _nested_enumerations(pairs, idxs) == all_nested_enumerations(pairs, idxs)

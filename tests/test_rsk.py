@@ -1,16 +1,13 @@
 import gc
-import itertools
-import random
 
 import pytest
 
-from segrsk import oracle
+from _inputs import domain_and_seeded
 from segrsk.errors import InvariantViolation, PreconditionError, ShapeViolation
 from segrsk.multisegment import Multisegment
 from segrsk.oracle import EnumerationBounds, enumerate_multisegments
 from segrsk.rsk import (
     LadderSequence,
-    _depth_list,
     _keeps_endpoints,
     _pairs,
     bitableau_of,
@@ -74,22 +71,6 @@ class TestRskTransform:
         assert width(Multisegment()) == 0
 
 
-def _iterated_peels(m):
-    """Reference for peel_trace: knuth_viennot applied until nothing remains."""
-    steps = []
-    rest = m
-    while rest:
-        ladder, rest = knuth_viennot(rest)
-        steps.append((ladder, rest))
-    return tuple(steps)
-
-
-def _random_multisegment(rng, n):
-    return Multisegment.of(
-        *((b, b + rng.randint(0, 6)) for b in (rng.randint(-20, 20) for _ in range(n)))
-    )
-
-
 class TestPeelTrace:
     def test_examples(self):
         assert peel_trace(Multisegment()) == ()
@@ -98,53 +79,14 @@ class TestPeelTrace:
             (M((1, 1)), Multisegment()),
         )
 
-    def test_matches_iterated_peels_on_bounded_domain(self):
-        for m in enumerate_multisegments(EnumerationBounds(-2, 2, 4)):
-            steps = _iterated_peels(m)
-            assert peel_trace(m) == steps, str(m)
-            assert rsk_transform(m).ladders == tuple(lad for lad, _ in steps), str(m)
-
-    @pytest.mark.parametrize("n", [25, 100, 400])
-    def test_matches_iterated_peels_on_random_inputs(self, n):
-        rng = random.Random(2110 + n)
-        for _ in range(3 if n < 400 else 1):
-            m = _random_multisegment(rng, n)
-            steps = _iterated_peels(m)
-            assert peel_trace(m) == steps
-            assert rsk_transform(m) == LadderSequence.from_trace(steps)
-            assert rsk_transform(m).ladders == tuple(lad for lad, _ in steps)
-
-
-def _domain_and_random_inputs(max_segments=4):
-    """Every nonempty input of EnumerationBounds(-2, 2, max_segments), then
-    seeded random ones."""
-    for m in enumerate_multisegments(EnumerationBounds(-2, 2, max_segments)):
-        if m:
-            yield m
-    rng = random.Random(4031)
-    for n in (25, 100, 400):
-        for _ in range(3 if n < 400 else 1):
-            yield _random_multisegment(rng, n)
-
-
 def _weights_add_up(m, ladder, rest):
     """The weight identity the begins/ends postcondition replaced."""
     return ladder.weight() + rest.weight() == m.weight()
 
 
 class TestPeelInternals:
-    def test_depths_match_reference(self):
-        for m in _domain_and_random_inputs():
-            expected = oracle.reference_depths(m.segments)
-            assert _depth_list(_pairs(m)) == expected, str(m)
-            assert depth_function(m) == tuple(expected), str(m)
-
-    def test_peel_matches_reference(self):
-        for m in _domain_and_random_inputs():
-            assert knuth_viennot(m) == oracle.reference_peel(m), str(m)
-
     def test_endpoint_postcondition_implies_weight_identity(self):
-        for m in _domain_and_random_inputs():
+        for m in domain_and_seeded(4031):
             ladder, rest = knuth_viennot(m)
             assert _keeps_endpoints(_pairs(m), ladder, rest), str(m)
             assert _weights_add_up(m, ladder, rest), str(m)
@@ -208,17 +150,6 @@ class TestPermissiblePair:
         finally:
             gc.enable()
 
-    def test_agrees_with_oracle(self):
-        bounds = EnumerationBounds(-1, 2, 2)
-        ladders = [
-            m for m in enumerate_multisegments(EnumerationBounds(-1, 2, 2)) if m.is_ladder()
-        ]
-        rests = list(enumerate_multisegments(bounds))
-        for ladder, rest in itertools.product(ladders, rests):
-            assert is_permissible_pair(ladder, rest) == oracle.brute_permissible(
-                ladder, rest
-            ), f"disagree on ({ladder}, {rest})"
-
 
 class TestBitableau:
     def test_examples(self):
@@ -265,55 +196,6 @@ class TestBitableau:
             seen[key] = m
 
 
-class TestAgainstOracles:
-    def test_width_is_dilworth_small(self):
-        for m in enumerate_multisegments(EnumerationBounds(-1, 1, 3)):
-            if m:
-                assert width(m) == oracle.dilworth_width(m), str(m)
-
-    def test_rsk_conserves_weight_small(self):
-        for m in enumerate_multisegments(EnumerationBounds(-1, 1, 3)):
-            if not m:
-                continue
-            total = Multisegment()
-            for lad in rsk_transform(m):
-                total = total + lad
-            assert total.weight() == m.weight()
-            assert total.begin_weight() == m.begin_weight()
-
-    def test_peeling_is_injective_small(self):
-        images = {}
-        for m in enumerate_multisegments(EnumerationBounds(-1, 1, 3)):
-            if not m:
-                continue
-            image = knuth_viennot(m)
-            assert image not in images, f"{images[image]} and {m} collide"
-            images[image] = m
-
-    def test_dagger_transform_well_formed(self):
-        # no entrywise identity is asserted, only well-formedness
-        for m in enumerate_multisegments(EnumerationBounds(-1, 1, 3)):
-            rsk_transform(m.dagger())
-
-
-class TestRowInsertion:
-    """Schensted row insertion of the points (-b, -e) gives the RSK ladders.
-
-    The peel is Viennot's shadow-line construction, which yields the rows
-    of row insertion; oracle.insertion_ladders shares no code with the peel.
-    """
-
-    def test_matches_rsk_transform(self):
-        chain = [(i - 2, i) for i in range(100)]
-        families = [
-            M(*((-i, i) for i in range(200))),  # nested: width 200
-            M(*[(0, 0)] * 200),  # one repeated point
-            M(*chain, *chain),  # two equal chains: width 2
-        ]
-        for m in itertools.chain(_domain_and_random_inputs(5), families):
-            assert oracle.insertion_ladders(m) == rsk_transform(m).ladders, str(m)
-
-
 class TestMetamorphic:
     """Relations between the RSKs of two related inputs, checked on the bounded
     domain and on seeded inputs far above the brute-force guards.
@@ -328,11 +210,11 @@ class TestMetamorphic:
     """
 
     def test_shift_commutes_with_rsk(self):
-        for m in _domain_and_random_inputs():
+        for m in domain_and_seeded(4031):
             shifted = [lad.shifted_right() for lad in rsk_transform(m)]
             assert list(rsk_transform(m.shifted_right())) == shifted, str(m)
 
     def test_dagger_keeps_shape(self):
-        for m in _domain_and_random_inputs():
+        for m in domain_and_seeded(4031):
             shape = [len(lad) for lad in rsk_transform(m)]
             assert [len(lad) for lad in rsk_transform(m.dagger())] == shape, str(m)

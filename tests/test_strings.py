@@ -5,6 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _inputs import (
+    begin_weight_string,
+    checked_phi,
+    phi_data,
+    reference_phi,
+    subcone_error,
+    support_error,
+)
 from segrsk import oracle, strings
 from segrsk.errors import InvariantViolation, ParseError, PreconditionError
 from segrsk.lattice import LaurentPoly, Weight, cartan_form
@@ -122,50 +130,19 @@ class TestPhiWeights:
             phi_weights(i, [(2, 0, 0)], [alpha(1)])  # beta(i,a) exceeds beta
 
 
-# every multisegment of EnumerationBounds(-2, 2, 4), the differential domain
-BOUNDED = list(enumerate_multisegments(EnumerationBounds(-2, 2, 4)))
-
 multisegments = st.lists(
     st.tuples(st.integers(-5, 5), st.integers(0, 4)), max_size=6
 ).map(lambda spans: M(*((b, b + n) for b, n in spans)))
 
 
-def _checked_phi(seq, ms):
-    """Phi through the core, each element's beta checked on its own as suite_combi does."""
-    t = seq.indices[0]
-    avecs = [bz_string(m, t) for m in ms]
-    betas = [m.weight() for m in ms]
-    bvs = [strings._checked_betas(seq, (a,), (w,))[0] for a, w in zip(avecs, betas)]
-    return strings._phi_pairs(seq.indices, avecs, betas, bvs), avecs, betas
-
-
-def _reference_phi(seq, avecs, betas):
-    """phi_weights by its definition, through the double-loop string form."""
-    return sum(
-        oracle.reference_string_form(seq.indices, avecs[j], avecs[k])
-        - cartan_form(betas[k], beta_of(seq, avecs[j]))
-        for j in range(len(avecs))
-        for k in range(j + 1, len(avecs))
-    )
-
-
 class TestPhiCoreAgainstPublic:
-    def test_bounded_domain(self):
-        seq = AdmissibleSequence.bz(2)
-        # every element alone, with itself, and on both sides of its neighbour
-        for k, m in enumerate(BOUNDED):
-            other = BOUNDED[k - 1]
-            for ms in ((m,), (m, m), (m, other), (other, m)):
-                core, avecs, betas = _checked_phi(seq, ms)
-                assert core == phi_weights(seq, avecs, betas), str(ms)
-                assert core == _reference_phi(seq, avecs, betas), str(ms)
-
     @given(st.lists(multisegments, min_size=1, max_size=3), st.integers(0, 2))
     def test_random_tuples(self, ms, slack):
         t = max((max(-s.b, s.e) for m in ms for s in m), default=0) + slack
         seq = AdmissibleSequence.bz(t)
-        core, avecs, betas = _checked_phi(seq, ms)
-        assert core == phi_weights(seq, avecs, betas) == _reference_phi(seq, avecs, betas)
+        core = checked_phi(seq, ms)
+        assert core == phi_weights(seq, *phi_data(seq, ms))
+        assert core == reference_phi(seq, ms, oracle.reference_string_form)
 
     def test_checked_betas_keeps_the_preconditions(self):
         i = AdmissibleSequence.bz(1)
@@ -235,41 +212,16 @@ class TestBzString:
 class TestSupportCheck:
     """The endpoint check against the dense weight's in_subcone."""
 
-    @staticmethod
-    def _assert_matches(m, t):
-        try:
-            strings._check_support(m, t)
-            inside = True
-        except PreconditionError as exc:
-            assert str(exc) == f"support of wt({m}) exceeds [-{t},{t}]"
-            inside = False
-        assert inside == m.weight().in_subcone(t), (str(m), t)
-
-    def test_bounded_domain(self):
-        for m in BOUNDED:
-            for t in range(4):
-                self._assert_matches(m, t)
-
     @given(multisegments, st.integers(0, 9))
     def test_random_inputs(self, m, t):
-        self._assert_matches(m, t)
+        assert support_error(m, t) == subcone_error(m, t), (str(m), t)
 
 
 class TestBzStringAgainstBeginWeight:
-    @staticmethod
-    def _by_begin_weight(m, t):
-        bw = m.begin_weight()
-        return tuple(bw.coeff(i) for i in AdmissibleSequence.bz(t).indices)
-
-    def test_bounded_domain(self):
-        for m in BOUNDED:
-            for t in (2, 3):
-                assert bz_string(m, t) == self._by_begin_weight(m, t), str(m)
-
     @given(multisegments, st.integers(0, 3))
     def test_random_inputs(self, m, slack):
         t = max((max(-s.b, s.e) for s in m), default=0) + slack
-        assert bz_string(m, t) == self._by_begin_weight(m, t)
+        assert bz_string(m, t) == begin_weight_string(m, t)
 
 
 class TestSingleDerivative:
