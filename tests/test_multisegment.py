@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _inputs import domain_and_seeded
+from test_references import assert_row
 from segrsk.errors import ParseError, PreconditionError
 from segrsk.lattice import Weight
 from segrsk.multisegment import Multisegment, Segment, point_multisegment
@@ -131,6 +132,16 @@ class TestDeriveExtend:
     @given(multisegments)
     def test_derivative_weight_identity(self, m):
         assert m.derived().weight() + m.begin_weight() == m.weight()
+
+
+class TestOrderPreservingMaps:
+    """derived, extended and shifted_right equal the constructor on the mapped segments."""
+
+    def test_match_resorted(self):
+        assert_row("order_maps")
+
+    def test_weight_maps_match_per_index_sums(self):
+        assert_row("weight_maps")
 
 
 class TestDagger:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _inputs import all_nested_enumerations
+from test_references import assert_row
 from segrsk.errors import PreconditionError, SizeGuardExceeded
 from segrsk.multisegment import Multisegment
 from segrsk.oracle import (
@@ -85,6 +86,24 @@ class TestDilworth:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestDilworthAgainstRecursion:
+    def test_bounded_domain(self):
+        assert_row("matching", "domain")
+
+    @pytest.mark.parametrize("n", [25, 100, 400])
+    def test_seeded_large_inputs(self, n):
+        assert_row("matching", n)
+
+
+class TestDilworthIsTheLargestAntichain:
+    def test_bounded_domain(self):
+        assert_row("antichain", "domain")
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_seeded_inputs(self, n):
+        assert_row("antichain", n)
 
 
 class TestBrutePermissible:

@@ -2,7 +2,9 @@
 REFERENCES maps a row id to (fast, reference, inputs), and fast(x) must equal
 reference(x) for every x in inputs(), on the bounded domain and, where the
 reference allows, on seeded inputs far above the brute-force guards.
-`pytest tests/test_references.py -k <row>` runs one row."""
+`pytest tests/test_references.py -k <row>` runs one row.  The rows in HOME
+are checked part by part, by assert_row, from the test modules that held
+their loops, so those tests keep their names."""
 
 import ast
 import functools
@@ -30,6 +32,14 @@ def star(f):
     return lambda x: f(*x)
 
 
+def _peel_trace_inputs(part):
+    """The domain, or seeded inputs of `part` segments: three, one at 400."""
+    if part == "domain":
+        return enumerate_multisegments(DOMAIN)
+    rng = random.Random(2110 + part)
+    return [_inputs.random_multisegment(rng, part) for _ in range(3 if part < 400 else 1)]
+
+
 def _iterated_peels(m):
     """peel_trace and the transform's ladders by knuth_viennot until nothing remains."""
     steps, rest = [], m
@@ -55,14 +65,24 @@ def _largest_antichain(m):
     return 0
 
 
-def _antichain_inputs():
-    """(-1, 1, 5), then five draws of each size 6 to 10 with begins in [-3, 3]
+def _antichain_inputs(part):
+    """(-1, 1, 5), or five draws of `part` segments with begins in [-3, 3]
     and lengths 1 to 4, narrow enough for wide antichains."""
-    yield from enumerate_multisegments(EnumerationBounds(-1, 1, 5))
-    for n in range(6, 11):
-        rng = random.Random(n)
-        for _ in range(5):
-            yield M(*((b, b + rng.randint(0, 3)) for b in (rng.randint(-3, 3) for _ in range(n))))
+    if part == "domain":
+        return enumerate_multisegments(EnumerationBounds(-1, 1, 5))
+    rng = random.Random(part)
+    return [
+        M(*((b, b + rng.randint(0, 3)) for b in (rng.randint(-3, 3) for _ in range(part))))
+        for _ in range(5)
+    ]
+
+
+def _matching_inputs(part):
+    """The domain, or three seeded inputs of `part` segments."""
+    if part == "domain":
+        return enumerate_multisegments(DOMAIN)
+    rng = random.Random(part)
+    return [_inputs.random_multisegment(rng, part) for _ in range(3)]
 
 
 def _recursive_dilworth_width(m):
@@ -132,14 +152,17 @@ def _recursive_partitions_of(n):
 
 
 def _mapped_segments(m):
-    """derived, extended and shifted_right from the mapped segments; weights by index."""
+    """derived, extended and shifted_right from the mapped segments."""
     return (
         Multisegment(d for d in (s.derived() for s in m) if d is not None),
         Multisegment(s.extended() for s in m),
         Multisegment(s.shifted_right() for s in m),
-        Weight((i, 1) for s in m for i in range(s.b, s.e + 1)),
-        Weight((s.b, 1) for s in m),
     )
+
+
+def _weights_by_index(m):
+    """weight and begin_weight summed one index of one segment at a time."""
+    return Weight((i, 1) for s in m for i in range(s.b, s.e + 1)), Weight((s.b, 1) for s in m)
 
 
 def _with_t(ts):
@@ -163,8 +186,11 @@ def _ladder_pairs():
     return itertools.product(ladders, enumerate_multisegments(bounds))
 
 
+def _order_maps_inputs():
+    return [Multisegment(), *domain_and_seeded(5147, counts=THREE_EACH)]
+
+
 _seeded = functools.partial(domain_and_seeded, 4031)
-_three_each = functools.partial(domain_and_seeded, 4031, counts=THREE_EACH)
 
 REFERENCES = {
     "depth": (rsk.depth_function, lambda m: tuple(oracle.reference_depths(m.segments)), _seeded),
@@ -172,13 +198,13 @@ REFERENCES = {
     "peel_trace": (
         lambda m: (rsk.peel_trace(m), rsk.rsk_transform(m).ladders),
         _iterated_peels,
-        lambda: [Multisegment(), *domain_and_seeded(2110)],
+        _peel_trace_inputs,
     ),
     "permissible": (star(rsk.is_permissible_pair), star(oracle.brute_permissible), _ladder_pairs),
     "width": (rsk.width, oracle.dilworth_width, _seeded),
     "rsk": (lambda m: rsk.rsk_transform(m).ladders, oracle.insertion_ladders, _rsk_inputs),
     "antichain": (oracle.dilworth_width, _largest_antichain, _antichain_inputs),
-    "matching": (oracle.dilworth_width, _recursive_dilworth_width, _three_each),
+    "matching": (oracle.dilworth_width, _recursive_dilworth_width, _matching_inputs),
     "nested_enumerations": (
         _per_depth_class(oracle._nested_enumerations),
         _per_depth_class(_inputs.all_nested_enumerations),
@@ -202,22 +228,52 @@ REFERENCES = {
     "partitions": (checks.partitions_of, _recursive_partitions_of, lambda: range(13)),
     "multiseg_of": (star(specht.multiseg_of), star(_inputs.summed_ladders), _multiseg_of_inputs),
     "order_maps": (
-        lambda m: (m.derived(), m.extended(), m.shifted_right(), m.weight(), m.begin_weight()),
+        lambda m: (m.derived(), m.extended(), m.shifted_right()),
         _mapped_segments,
-        lambda: [Multisegment(), *domain_and_seeded(5147, counts=THREE_EACH)],
+        _order_maps_inputs,
+    ),
+    "weight_maps": (
+        lambda m: (m.weight(), m.begin_weight()),
+        _weights_by_index,
+        _order_maps_inputs,
     ),
 }
 
+# the rows checked from the class that held their loops, whose inputs take
+# the part that each test of the class checks
+HOME = {
+    "peel_trace": "test_rsk.py::TestPeelTrace",
+    "antichain": "test_oracle.py::TestDilworthIsTheLargestAntichain",
+    "matching": "test_oracle.py::TestDilworthAgainstRecursion",
+    "order_maps": "test_multisegment.py::TestOrderPreservingMaps",
+    "weight_maps": "test_multisegment.py::TestOrderPreservingMaps",
+}
 
-@pytest.mark.parametrize("row", REFERENCES)
-def test_fast_path_matches_its_reference(row):
+
+def assert_row(row, *part):
+    """fast(x) == reference(x) for every input of the row, or of one part of it."""
     fast, reference, inputs = REFERENCES[row]
     checked = 0
-    for x in inputs():
+    for x in inputs(*part):
         assert fast(x) == reference(x), f"{row} differs from its reference on {x!r}"
         checked += 1
     # a row whose inputs are empty would pass without checking
     assert checked
+
+
+@pytest.mark.parametrize("row", [row for row in REFERENCES if row not in HOME])
+def test_fast_path_matches_its_reference(row):
+    assert_row(row)
+
+
+def test_every_home_row_is_checked_at_home():
+    for row, home in HOME.items():
+        module, name = home.split("::")
+        tree = ast.parse((Path(__file__).parent / module).read_text())
+        [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+        calls = [n for n in ast.walk(cls) if isinstance(n, ast.Call)]
+        rows = [c.args[0].value for c in calls if getattr(c.func, "id", None) == "assert_row"]
+        assert row in rows, f"{home} does not check the row {row}"
 
 
 # the public oracle functions that need no row, each with its reason

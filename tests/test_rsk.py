@@ -3,6 +3,7 @@ import gc
 import pytest
 
 from _inputs import domain_and_seeded
+from test_references import assert_row
 from segrsk.errors import InvariantViolation, PreconditionError, ShapeViolation
 from segrsk.multisegment import Multisegment
 from segrsk.oracle import EnumerationBounds, enumerate_multisegments
@@ -78,6 +79,13 @@ class TestPeelTrace:
             (M((1, 2)), M((1, 1))),
             (M((1, 1)), Multisegment()),
         )
+
+    def test_matches_iterated_peels_on_bounded_domain(self):
+        assert_row("peel_trace", "domain")
+
+    @pytest.mark.parametrize("n", [25, 100, 400])
+    def test_matches_iterated_peels_on_random_inputs(self, n):
+        assert_row("peel_trace", n)
 
 def _weights_add_up(m, ladder, rest):
     """The weight identity the begins/ends postcondition replaced."""
