@@ -93,7 +93,7 @@ def bounded_instances(
     bounds: EnumerationBounds, seed: int, sample: int
 ) -> tuple[list[Multisegment], int]:
     """Nonempty instances: exhaustive sizes while affordable, sampled beyond,
-    each draw uniform over the multisegments of the larger sizes.
+    uniformly without replacement over the multisegments of the larger sizes.
 
     Returns the instance list and the size up to which it is exhaustive.
     """
@@ -104,22 +104,30 @@ def bounded_instances(
         instances.extend(
             Multisegment(c) for c in itertools.combinations_with_replacement(pool, k)
         )
-    if exhaustive_size < bounds.max_segments:
-        rng = random.Random(seed)
-        sizes = list(range(exhaustive_size + 1, bounds.max_segments + 1))
-        weights = [comb(len(pool) + k - 1, k) for k in sizes]
-        seen = set()
-        drawn = []
-        while len(drawn) < sample:
-            k = rng.choices(sizes, weights=weights)[0]
-            # stars and bars: k sorted slots among pool + k - 1 pick a
-            # multiset of k pool segments, each multiset equally likely
-            slots = sorted(rng.sample(range(len(pool) + k - 1), k))
-            m = Multisegment(pool[c - i] for i, c in enumerate(slots))
-            if m not in seen:
-                seen.add(m)
-                drawn.append(m)
-        instances.extend(drawn)
+    sizes = range(exhaustive_size + 1, bounds.max_segments + 1)
+    counts = [comb(len(pool) + k - 1, k) for k in sizes]
+    # Floyd's algorithm: `sample` distinct ranks in `sample` draws, each set
+    # equally likely; rng.sample would take len(range), capped at 2**63 - 1
+    rng, ranks = random.Random(seed), set()
+    for top in range(sum(counts) - sample, sum(counts)):
+        rank = rng.randrange(top + 1)
+        ranks.add(top if rank in ranks else rank)
+    for rank in sorted(ranks):
+        for k, count in zip(sizes, counts):  # the size k, and the rank within it
+            if rank < count:
+                break
+            rank -= count
+        # the rank-th k slots c_k > ... > c_1 among pool + k - 1 in colex order,
+        # ranked sum comb(c_j, j); by stars and bars they pick k pool segments
+        slots = [len(pool) + k - 1]
+        for j in range(k, 0, -1):
+            low, high = j - 1, slots[-1]  # bisect for the largest comb(c_j, j) <= rank
+            while high - low > 1:
+                mid = (low + high) // 2
+                low, high = (mid, high) if comb(mid, j) <= rank else (low, mid)
+            rank -= comb(low, j)
+            slots.append(low)
+        instances.append(Multisegment(pool[c - i] for i, c in enumerate(reversed(slots[1:]))))
     return instances, exhaustive_size
 
 

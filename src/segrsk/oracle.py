@@ -3,11 +3,13 @@
 Everything here recomputes a main-path result by a separate route: the
 Dilworth width as the largest antichain, the RSK ladders by Schensted row
 insertion, permissibility by trying every chain against every injective
-increasing assignment, depths and one peel by scanning every pair of
-Segment objects, the string form by a double loop over positions, the BZ
-derivative by a step at every index, tableau counts by hook lengths, and
-peeling determinism by re-running every admissible depth-class enumeration.
-Oracles refuse oversized instances instead of sampling.
+increasing assignment, depths by scanning every pair of Segment objects,
+the string form by a double loop over positions, the BZ derivative by a step
+at every index, and tableau counts by hook lengths.  One peel on Segment
+objects, along a chosen order of each reference depth class, gives both the
+reference peel (the canonical order) and peeling determinism (every
+admissible order).  Oracles refuse oversized instances instead of sampling,
+and import nothing from rsk, the module they check.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from math import comb, factorial
 
 from .errors import PreconditionError, SizeGuardExceeded
 from .multisegment import Multisegment, Segment
-from .rsk import Pair, _depth_classes, _kv_from_classes, _pairs
 from .strings import single_derivative
 from .tableaux import Partition
 
@@ -136,33 +137,31 @@ def reference_depths(segs: Sequence[Segment]) -> list[int]:
     return depth
 
 
-def reference_peel(m: Multisegment) -> tuple[Multisegment, Multisegment]:
-    """One peeling step on Segment objects, through a successor map.
+def _depth_classes(segs: Sequence[Segment]) -> list[list[int]]:
+    """Occurrence indices per reference depth, each class sorted (b asc, e desc)."""
+    depth = reference_depths(segs)
+    order = sorted(range(len(segs)), key=lambda i: (segs[i].b, -segs[i].e))
+    return [[i for i in order if depth[i] == d] for d in sorted(set(depth))]
 
-    The reference for the peel's int-pair internals: each depth class is
-    sorted (b asc, e desc), every occurrence takes the end of its cyclic
-    successor, and the class-final occurrences form the ladder.  No
-    postcondition is asserted.
-    """
+
+def _peel_along(
+    segs: Sequence[Segment], orders: Sequence[Sequence[int]]
+) -> tuple[Multisegment, Multisegment]:
+    """One peeling step along one order per depth class: each occurrence takes
+    its cyclic successor's end, and the class-final occurrences form the ladder."""
+    ladder, rest = [], []
+    for idxs in orders:
+        for i, j in zip(idxs, idxs[1:]):
+            rest.append(Segment(segs[i].b, segs[j].e))
+        ladder.append(Segment(segs[idxs[-1]].b, segs[idxs[0]].e))
+    return Multisegment(ladder), Multisegment(rest)
+
+
+def reference_peel(m: Multisegment) -> tuple[Multisegment, Multisegment]:
+    """One peeling step along the sorted depth classes, unchecked."""
     if not m:
         raise PreconditionError("cannot peel the empty multisegment")
-    segs = m.segments
-    classes: dict[int, list[int]] = {}
-    for i, d in enumerate(reference_depths(segs)):
-        classes.setdefault(d, []).append(i)
-    succ: dict[int, int] = {}
-    finals = set()
-    for idxs in classes.values():
-        idxs.sort(key=lambda i: (segs[i].b, -segs[i].e))
-        for a, b in zip(idxs, idxs[1:]):
-            succ[a] = b
-        succ[idxs[-1]] = idxs[0]
-        finals.add(idxs[-1])
-    ladder = []
-    rest = []
-    for i, s in enumerate(segs):
-        (ladder if i in finals else rest).append(Segment(s.b, segs[succ[i]].e))
-    return Multisegment(ladder), Multisegment(rest)
+    return _peel_along(m.segments, _depth_classes(m.segments))
 
 
 def brute_permissible(ladder: Multisegment, m: Multisegment) -> bool:
@@ -236,7 +235,7 @@ def hook_length_count(mu: Partition) -> int:
     return factorial(mu.size()) // product
 
 
-def _nested_enumerations(pairs: Sequence[Pair], idxs: Sequence[int]) -> list[tuple[int, ...]]:
+def _nested_enumerations(pairs: Sequence[Segment], idxs: Sequence[int]) -> list[tuple[int, ...]]:
     """Every order of one depth class with b weakly up and e weakly down."""
     valid = []
     for perm in itertools.permutations(idxs):
@@ -252,19 +251,12 @@ def _nested_enumerations(pairs: Sequence[Pair], idxs: Sequence[int]) -> list[tup
 
 
 def kv_choice_independence(m: Multisegment) -> bool:
-    """Re-run one peeling step under every admissible class enumeration."""
+    """Re-run one peeling step under every admissible class enumeration: True
+    when they give exactly one output, so False also when a class has none."""
     if len(m) > KV_GUARD:
         raise SizeGuardExceeded(f"{len(m)} occurrences exceed {KV_GUARD}")
     if not m:
         raise PreconditionError("cannot peel the empty multisegment")
-    pairs = _pairs(m)
-    classes = _depth_classes(pairs)
-    per_class = [_nested_enumerations(pairs, idxs) for idxs in classes.values()]
-    keys = list(classes.keys())
-    outputs = set()
-    for choice in itertools.product(*per_class):
-        chosen = dict(zip(keys, choice))
-        outputs.add(_kv_from_classes(pairs, chosen))
-        if len(outputs) > 1:
-            return False
-    return True
+    segs = m.segments
+    per_class = [_nested_enumerations(segs, idxs) for idxs in _depth_classes(segs)]
+    return len({_peel_along(segs, orders) for orders in itertools.product(*per_class)}) == 1

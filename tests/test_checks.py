@@ -193,6 +193,15 @@ class TestSuiteMutations:
             f"RSK({target}) differs from row insertion"
         ]
 
+    def test_class_without_an_enumeration_fails_suite_kv(self, monkeypatch):
+        # with no admissible order of a class there is no peel to compare,
+        # which must fail rather than pass with nothing compared
+        monkeypatch.setattr(oracle, "_nested_enumerations", lambda pairs, idxs: [])
+        result = checks.suite_kv(EnumerationBounds(0, 1, 2), 5, 14000)
+        assert result.cases == 9
+        assert len(result.failures) == 9
+        assert all(f.startswith("enumeration choice changes peel of") for f in result.failures)
+
     def test_corrupted_extended_peel(self, instances, monkeypatch):
         true_peel = rsk.knuth_viennot
         support_min = self.BOUNDS.support_min
@@ -343,6 +352,32 @@ class TestSizePlan:
         assert exhaustive == 2
         assert len(instances) == 968
         assert set(instances) == set(enumerate_multisegments(bounds)) - {Multisegment()}
+
+    def test_sampler_draws_once_per_sampled_multisegment(self, monkeypatch):
+        # every multisegment of [0, 1] beyond the exhaustive sizes 1 and 2 is
+        # sampled, each by one draw of one rank
+        monkeypatch.setattr(checks, "EXHAUSTIVE_INSTANCES", 10)
+        # every draw of an int below n, or of a float in [0, 1)
+        draws = []
+        for name in ("_randbelow", "random"):
+            true_draw = getattr(random.Random, name)
+            monkeypatch.setattr(
+                random.Random,
+                name,
+                lambda rng, *n, true_draw=true_draw: draws.append(n) or true_draw(rng, *n),
+            )
+        instances, exhaustive = bounded_instances(EnumerationBounds(0, 1, 16), 0, 959)
+        assert len(draws) == 959
+        assert len(set(instances)) == len(instances) == 9 + 959
+
+    def test_sampler_ranks_past_the_word_size(self):
+        # 20,301 segments in [-100, 100]: the multisegments of 2 to 16 of them
+        # number about 4e55, more than len(range(...)) can take
+        instances, exhaustive = bounded_instances(EnumerationBounds(-100, 100, 16), 0, 5)
+        assert exhaustive == 1
+        sampled = instances[20_301:]
+        assert len(set(sampled)) == len(sampled) == 5
+        assert all(len(m) > 1 for m in sampled)
 
     @pytest.mark.parametrize("max_segments, cases", [(0, 0), (1, 2)])
     def test_strings_draws_no_more_pairs_than_instances_make(self, max_segments, cases):

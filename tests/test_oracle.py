@@ -1,5 +1,7 @@
+import ast
 import gc
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from _inputs import all_nested_enumerations
 from test_references import assert_row
+from segrsk import oracle
 from segrsk.errors import PreconditionError, SizeGuardExceeded
 from segrsk.multisegment import Multisegment
 from segrsk.oracle import (
@@ -15,10 +18,10 @@ from segrsk.oracle import (
     dilworth_width,
     enumerate_multisegments,
     hook_length_count,
+    _depth_classes,
     _nested_enumerations,
     kv_choice_independence,
 )
-from segrsk.rsk import _depth_classes, _pairs
 from segrsk.tableaux import Partition
 
 M = Multisegment.of
@@ -145,10 +148,10 @@ class TestKvChoiceIndependence:
 
 class TestNestedEnumerations:
     def _assert_matches(self, m):
-        pairs = _pairs(m)
-        for idxs in _depth_classes(pairs).values():
-            assert _nested_enumerations(pairs, idxs) == all_nested_enumerations(
-                pairs, idxs
+        segs = m.segments
+        for idxs in _depth_classes(segs):
+            assert _nested_enumerations(segs, idxs) == all_nested_enumerations(
+                segs, idxs
             ), str(m)
 
     @given(
@@ -168,3 +171,53 @@ class TestNestedEnumerations:
         # not only depth classes: any pairs, any order of their indices
         idxs = list(range(len(pairs)))[::-1]
         assert _nested_enumerations(pairs, idxs) == all_nested_enumerations(pairs, idxs)
+
+
+def _rsk_imports(source: str) -> list[str]:
+    """The dotted name each import of source reaches in segrsk.rsk, at any
+    depth and in any form; relative imports are taken from segrsk."""
+    reached = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            reached += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["segrsk" if node.level else "", node.module]))
+            reached += [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)
+        ) in ("__import__", "import_module"):
+            # the module named by a string literal, if any
+            name = next((a.value for a in node.args[:1] if isinstance(a, ast.Constant)), "")
+            reached.append("segrsk" + name if str(name).startswith(".") else str(name))
+    return [name for name in reached if f"{name}.".startswith("segrsk.rsk.")]
+
+
+class TestOracleStandsAlone:
+    """The oracles share no code with the peel they check."""
+
+    def test_imports_nothing_from_rsk(self):
+        assert _rsk_imports(Path(oracle.__file__).read_text()) == []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from .rsk import Pair",
+            "from . import rsk",
+            "from .rsk import *",
+            "from segrsk.rsk import _depth_classes as classes",
+            "from segrsk import multisegment, rsk",
+            "import segrsk.rsk",
+            "import segrsk.rsk as peel",
+            "def f():\n    from .rsk import knuth_viennot",
+            "importlib.import_module('.rsk', 'segrsk')",
+            "__import__('segrsk.rsk')",
+        ],
+    )
+    def test_every_import_form_is_seen(self, source):
+        assert _rsk_imports(source)
+
+    @pytest.mark.parametrize(
+        "source", ["from .rsky import x", "from .strings import rsk_like", "import rsk"]
+    )
+    def test_other_modules_pass(self, source):
+        assert _rsk_imports(source) == []

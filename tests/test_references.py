@@ -49,11 +49,16 @@ def _iterated_peels(m):
     return tuple(steps), tuple(ladder for ladder, _ in steps)
 
 
+def _criterion8_and_seeded():
+    """Criterion 8's domain (-2, 2, 5), then the seeded inputs."""
+    return domain_and_seeded(4031, EnumerationBounds(-2, 2, 5))
+
+
 def _rsk_inputs():
     """(-2, 2, 5), seeded inputs, and the peel's worst families at 200 segments."""
     chain = [(i - 2, i) for i in range(100)]
     families = [M(*((-i, i) for i in range(200))), M(*[(0, 0)] * 200), M(*chain, *chain)]
-    return [*domain_and_seeded(4031, EnumerationBounds(-2, 2, 5)), *families]
+    return [*_criterion8_and_seeded(), *families]
 
 
 def _largest_antichain(m):
@@ -107,8 +112,8 @@ def _per_depth_class(enumerations):
     """The enumerations of each depth class of m, in class order."""
 
     def run(m):
-        pairs = rsk._pairs(m)
-        return [enumerations(pairs, idxs) for idxs in rsk._depth_classes(pairs).values()]
+        segs = m.segments
+        return [enumerations(segs, idxs) for idxs in oracle._depth_classes(segs)]
 
     return run
 
@@ -194,7 +199,7 @@ _seeded = functools.partial(domain_and_seeded, 4031)
 
 REFERENCES = {
     "depth": (rsk.depth_function, lambda m: tuple(oracle.reference_depths(m.segments)), _seeded),
-    "peel": (rsk.knuth_viennot, oracle.reference_peel, _seeded),
+    "peel": (rsk.knuth_viennot, oracle.reference_peel, _criterion8_and_seeded),
     "peel_trace": (
         lambda m: (rsk.peel_trace(m), rsk.rsk_transform(m).ladders),
         _iterated_peels,
@@ -279,7 +284,10 @@ def test_every_home_row_is_checked_at_home():
 # the public oracle functions that need no row, each with its reason
 NO_ROW = {
     "enumerate_multisegments": "it enumerates a domain",
-    "kv_choice_independence": "criterion 8 checks it; its filter has the row nested_enumerations",
+    "kv_choice_independence": (
+        "criterion 8 checks it; its peel is the peel row's reference, "
+        "and its filter has the row nested_enumerations"
+    ),
 }
 
 
