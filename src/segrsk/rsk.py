@@ -12,6 +12,7 @@ views of one input (ladders, peels, bitableau) share one trace.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -23,8 +24,8 @@ from .tableaux import BitableauPair, InvertedSSYT, ladders_of
 # An occurrence as its (begin, end) pair.  The peel internals take a
 # multisegment's pairs in its canonical order (end first, then begin), read
 # once per peel.  A Segment is already such a pair, but _pairs still copies
-# each into an exact tuple: CPython's fast paths for unpacking and indexing
-# skip tuple subclasses, and the depth pass does both O(n^2) times.
+# each into an exact tuple: CPython's fast paths for unpacking, indexing and
+# comparing skip tuple subclasses, and the hot loops do all three.
 Pair = tuple[int, int]
 
 
@@ -33,18 +34,29 @@ def _pairs(m: Multisegment) -> list[Pair]:
 
 
 def _depth_list(pairs: Sequence[Pair]) -> list[int]:
-    """Longest ll-increasing chain length starting at each occurrence, minus one."""
-    n = len(pairs)
-    depth = [0] * n
-    # ends ascend, so every ll-larger occurrence lies after i and is done first
-    for i in range(n - 1, -1, -1):
-        b, e = pairs[i]
-        best = 0
-        for j in range(i + 1, n):
-            bj, ej = pairs[j]
-            if b < bj and e < ej and depth[j] >= best:
-                best = depth[j] + 1
-        depth[i] = best
+    """Longest ll-increasing chain length starting at each occurrence, minus one.
+
+    Viennot's shadow-line sweep: occurrences are swept by begin descending,
+    so every occurrence swept earlier with a larger begin may follow the
+    current one in a chain.  Equal begins are swept by end ascending, so an
+    earlier one of the same begin has an end no larger, and the strict
+    comparison of ends below never counts it; no batching is needed.
+    tails[d] is the least negated end among the swept occurrences of depth
+    >= d, which ascends with d, so the depth of an occurrence is the number
+    of entries below its negated end, found by one bisection.
+    """
+    depth = [0] * len(pairs)
+    tails: list[int] = []
+    begins = [b for b, _ in pairs]
+    # reverse=True keeps the canonical order, ends ascending, among equal begins
+    for i in sorted(range(len(pairs)), key=begins.__getitem__, reverse=True):
+        neg_end = -pairs[i][1]
+        d = bisect_left(tails, neg_end)
+        if d == len(tails):
+            tails.append(neg_end)
+        else:
+            tails[d] = neg_end
+        depth[i] = d
     return depth
 
 
@@ -254,31 +266,40 @@ def is_permissible_pair(ladder: Multisegment, m: Multisegment) -> bool:
     ladder positions with e(x_t) inside the assigned interval.  Greedy
     earliest-position matching is exact here, so a memoized DFS over
     (chain head, minimal usable position) decides all chains at once.
+
+    Position t = 1..l walks the ladder from its ll-largest segment down, so
+    both the begins and the ends of the intervals descend strictly with t.
+    The positions whose begin is <= e(x) are therefore a suffix [lo, l] and
+    those whose end is >= e(x) a prefix [1, hi], and the intervals holding
+    e(x) are the one range [lo, hi], found by two bisections per distinct
+    segment of m.  The earliest usable position from s on is max(s, lo),
+    when that is <= hi.
     """
     if not ladder.is_ladder():
         raise PreconditionError(f"first component is not a ladder: {ladder}")
     if not m:
         return True
-    # position s = 1..l walks the ladder from its ll-largest segment down
-    intervals = [(s.b, s.e) for s in reversed(ladder.segments)]
-    npos = len(intervals)
+    # negated, so both ascend with the position t = 1..l
+    neg_begins = [-b for b, _ in reversed(ladder.segments)]
+    neg_ends = [-e for _, e in reversed(ladder.segments)]
     # natural tuple order is lex order (begin first), which extends ll
-    values = sorted(set(m.segments))
-    below: dict[Segment, list[Segment]] = {
-        x: [y for y in values if y.ll(x)] for x in values
-    }
-    memo: dict[tuple[Segment, int], bool] = {}
+    values = sorted(set(_pairs(m)))
+    # (lo, hi, the segments ll-below) of each distinct segment of m
+    spans: dict[Pair, tuple[int, int, list[Pair]]] = {}
+    for x in values:
+        b, e = x
+        below = [y for y in values if y[0] < b and y[1] < e]
+        spans[x] = (bisect_left(neg_begins, -e) + 1, bisect_right(neg_ends, -e), below)
+    memo: dict[tuple[Pair, int], bool] = {}
 
-    def matchable(x: Segment, s: int) -> bool:
+    def matchable(x: Pair, s: int) -> bool:
         key = (x, s)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        star = next(
-            (t for t in range(s, npos + 1) if intervals[t - 1][0] <= x.e <= intervals[t - 1][1]),
-            None,
-        )
-        ok = star is not None and all(matchable(y, star + 1) for y in below[x])
+        lo, hi, below = spans[x]
+        star = max(s, lo)
+        ok = star <= hi and all(matchable(y, star + 1) for y in below)
         memo[key] = ok
         return ok
 
@@ -286,7 +307,7 @@ def is_permissible_pair(ladder: Multisegment, m: Multisegment) -> bool:
         return all(matchable(x, 1) for x in values)
     finally:
         # matchable reaches itself through its closure; dropping the name
-        # breaks that cycle so memo and below are freed at return
+        # breaks that cycle so memo and spans are freed at return
         del matchable
 
 

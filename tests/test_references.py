@@ -54,11 +54,16 @@ def _criterion8_and_seeded():
     return domain_and_seeded(4031, EnumerationBounds(-2, 2, 5))
 
 
-def _rsk_inputs():
-    """(-2, 2, 5), seeded inputs, and the peel's worst families at 200 segments."""
+def _families():
+    """The peel's worst families at 200 segments: nested, one repeated point
+    and a doubled chain."""
     chain = [(i - 2, i) for i in range(100)]
-    families = [M(*((-i, i) for i in range(200))), M(*[(0, 0)] * 200), M(*chain, *chain)]
-    return [*_criterion8_and_seeded(), *families]
+    return [M(*((-i, i) for i in range(200))), M(*[(0, 0)] * 200), M(*chain, *chain)]
+
+
+def _rsk_inputs():
+    """(-2, 2, 5), seeded inputs, and the families."""
+    return [*_criterion8_and_seeded(), *_families()]
 
 
 def _largest_antichain(m):
@@ -185,10 +190,34 @@ def _multiseg_of_inputs():
         yield from ((kappa, mp) for mp in checks.iter_multipartitions(len(kappa), 4))
 
 
+def _ladders(lo, hi, k):
+    """Every ladder of k segments with begins and ends in [lo, hi]."""
+    points = range(lo, hi + 1)
+    return [
+        M(*zip(begins, ends))
+        for begins in itertools.combinations(points, k)
+        for ends in itertools.combinations(points, k)
+        if all(b <= e for b, e in zip(begins, ends))
+    ]
+
+
+def _long_ladder_pairs():
+    """Six seeded ladders each of 3, 4 and 5 segments in [-2, 3], against
+    every rest of at most 3 segments in [-2, 2]: long enough for chains of
+    the rest to need distinct positions, and for ends to meet the ladder's
+    begins and ends exactly."""
+    rng = random.Random(29)
+    ladders = [lad for k in (3, 4, 5) for lad in rng.sample(_ladders(-2, 3, k), 6)]
+    return itertools.product(ladders, enumerate_multisegments(EnumerationBounds(-2, 2, 3)))
+
+
 def _ladder_pairs():
+    """Ladders of at most 2 segments in [-1, 2] against every multisegment
+    there, then the long ladders."""
     bounds = EnumerationBounds(-1, 2, 2)
     ladders = [m for m in enumerate_multisegments(bounds) if m.is_ladder()]
-    return itertools.product(ladders, enumerate_multisegments(bounds))
+    yield from itertools.product(ladders, enumerate_multisegments(bounds))
+    yield from _long_ladder_pairs()
 
 
 def _order_maps_inputs():
@@ -198,7 +227,11 @@ def _order_maps_inputs():
 _seeded = functools.partial(domain_and_seeded, 4031)
 
 REFERENCES = {
-    "depth": (rsk.depth_function, lambda m: tuple(oracle.reference_depths(m.segments)), _seeded),
+    "depth": (
+        rsk.depth_function,
+        lambda m: tuple(oracle.reference_depths(m.segments)),
+        lambda: [*_seeded(), *_families()],
+    ),
     "peel": (rsk.knuth_viennot, oracle.reference_peel, _criterion8_and_seeded),
     "peel_trace": (
         lambda m: (rsk.peel_trace(m), rsk.rsk_transform(m).ladders),
@@ -269,6 +302,11 @@ def assert_row(row, *part):
 @pytest.mark.parametrize("row", [row for row in REFERENCES if row not in HOME])
 def test_fast_path_matches_its_reference(row):
     assert_row(row)
+
+
+def test_long_ladders_meet_both_answers():
+    answers = {rsk.is_permissible_pair(*pair) for pair in _long_ladder_pairs()}
+    assert answers == {True, False}
 
 
 def test_every_home_row_is_checked_at_home():

@@ -1,9 +1,12 @@
+import ast
 import gc
+from pathlib import Path
 
 import pytest
 
 from _inputs import domain_and_seeded
 from test_references import assert_row
+from segrsk import rsk
 from segrsk.errors import InvariantViolation, PreconditionError, ShapeViolation
 from segrsk.multisegment import Multisegment
 from segrsk.oracle import EnumerationBounds, enumerate_multisegments
@@ -226,3 +229,46 @@ class TestMetamorphic:
         for m in domain_and_seeded(4031):
             shape = [len(lad) for lad in rsk_transform(m)]
             assert [len(lad) for lad in rsk_transform(m.dagger())] == shape, str(m)
+
+
+def _endpoint_reads(source: str) -> list[str]:
+    """Each use of a .b or .e attribute in source, as an attribute or through
+    getattr with a literal name, as the text of the expression."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("b", "e"):
+            reads.append(ast.unparse(node))
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "getattr"
+            and any(isinstance(a, ast.Constant) and a.value in ("b", "e") for a in node.args)
+        ):
+            reads.append(ast.unparse(node))
+    return reads
+
+
+class TestPeelReadsIntPairs:
+    """The peel's loops read the exact int pairs rsk._pairs builds, never the
+    Segment.b and Segment.e properties, which cost about 3x an index."""
+
+    def test_rsk_reads_no_endpoint_attribute(self):
+        assert _endpoint_reads(Path(rsk.__file__).read_text()) == []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "x.e",
+            "s.b",
+            "(s.b, s.e)",
+            "f(x).e",
+            "[y for y in ys if y.b < b]",
+            "def f(x):\n    return x.e",
+            "getattr(x, 'e')",
+        ],
+    )
+    def test_every_read_form_is_seen(self, source):
+        assert _endpoint_reads(source)
+
+    @pytest.mark.parametrize("source", ["x.end", "x.begin_weight()", "b, e = x", "x[1]", "e.b_"])
+    def test_other_names_pass(self, source):
+        assert _endpoint_reads(source) == []
