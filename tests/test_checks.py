@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from _inputs import random_multisegment
+from _size_rules import CHECK_SUITES, assert_cap_is_inclusive
 from segrsk import checks, oracle, rsk
 from segrsk.checks import (
     CHECK_MAX_CASES,
@@ -455,26 +456,39 @@ class TestSizePlan:
         with pytest.raises(PreconditionError, match=words):
             run_suite(name, bounds, 0, sample, level)
 
-    def test_level_cap_is_inclusive(self, monkeypatch):
-        bounds = EnumerationBounds(0, 0, 0)
-        (result,) = run_suite("specht", bounds, 0, 10, CHECK_MAX_LEVEL)
-        assert result.cases == _walked_specht_pairs(0, 0, CHECK_MAX_LEVEL, 0)
-        monkeypatch.setattr(checks, "suite_specht", None)
-        with pytest.raises(PreconditionError, match=f"above the cap {CHECK_MAX_LEVEL}$"):
-            run_suite("specht", bounds, 0, 10, CHECK_MAX_LEVEL + 1)
+    def test_level_cap_is_inclusive(self, capsys, monkeypatch):
+        argv = ["check", "--suite", "specht", "--min", "0", "--max", "0", "--max-segments", "0",
+                "--level", str(CHECK_MAX_LEVEL)]
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "checks.CHECK_MAX_LEVEL", argv, CHECK_MAX_LEVEL,
+            f"multicharge level cap {CHECK_MAX_LEVEL} is above the cap {CHECK_MAX_LEVEL - 1}",
+            never=CHECK_SUITES,
+        )
 
-    def test_caps_are_inclusive(self, monkeypatch):
-        bounds = EnumerationBounds(-1, 1, 2)
-        (held, walked), = size_plan("combi", bounds, 10).values()
-        monkeypatch.setattr(checks, "CHECK_MAX_HELD", held)
-        monkeypatch.setattr(checks, "CHECK_MAX_CASES", walked)
-        assert run_suite("combi", bounds, 0, 10)[0].cases == walked
-        monkeypatch.setattr(checks, "CHECK_MAX_CASES", walked - 1)
-        with pytest.raises(PreconditionError, match=f"{walked} cases"):
-            run_suite("combi", bounds, 0, 10)
-        monkeypatch.setattr(checks, "CHECK_MAX_HELD", held - 1)
-        with pytest.raises(PreconditionError, match=f"{held} multisegments"):
-            run_suite("combi", bounds, 0, 10)
+    def test_caps_are_inclusive(self, capsys, monkeypatch):
+        # combi at (-1, 1, 2) holds 34 multisegments and walks 22,764 tuples
+        argv = ["check", "--suite", "combi", "--min", "-1", "--max", "1", "--max-segments", "2",
+                "--sample", "10"]
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "checks.CHECK_MAX_HELD", argv, 34,
+            "combi would hold 34 multisegments, above the cap 33", never=CHECK_SUITES,
+        )
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "checks.CHECK_MAX_CASES", argv, 22_764,
+            "combi would check 22764 cases, above the cap 22763", never=CHECK_SUITES,
+        )
+
+    def test_segment_and_support_caps_are_inclusive(self, capsys, monkeypatch):
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "checks.CHECK_MAX_SEGMENTS",
+            ["check", "--suite", "rsk", "--min", "0", "--max", "0", "--max-segments", "2"], 2,
+            "2 segments per instance, above the cap 1", never=CHECK_SUITES,
+        )
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "checks.CHECK_MAX_SUPPORT",
+            ["check", "--suite", "combi", "--min", "-1", "--max", "1", "--max-segments", "0"], 1,
+            "support reaches 1, above the cap 0", never=CHECK_SUITES,
+        )
 
 
 class TestSuiteNames:

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import segrsk
-from segrsk import checks, cli
+from _size_rules import CHECK_SUITES, assert_cap_is_inclusive, assert_refused
+from segrsk import checks, cli, oracle, rsk, specht, strings, tableaux
 from segrsk.checks import iter_multicharges, iter_multipartitions
 from segrsk.cli import main
 from segrsk.errors import InvariantViolation, ShapeViolation, SizeGuardExceeded
@@ -45,36 +46,22 @@ class TestSegmentCap:
 
     @pytest.mark.parametrize("mode, module, name", _PEELING_MODES)
     def test_cap_is_inclusive(self, capsys, monkeypatch, mode, module, name):
-        text = "[0,0]+[0,1]+[1,1]"
-        monkeypatch.setattr(cli, "RSK_MAX_SEGMENTS", 3)
-        assert run_cli(capsys, *mode, text)[0] == 0
-        monkeypatch.setattr(cli, "RSK_MAX_SEGMENTS", 2)
-        monkeypatch.setattr(getattr(cli, module), name, None)
-        code, out, err = run_cli(capsys, *mode, text)
-        assert (code, out) == (2, "")
-        assert err == "precondition error: input has 3 segments, above the cap 2\n"
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "cli.RSK_MAX_SEGMENTS", [*mode, "[0,0]+[0,1]+[1,1]"], 3,
+            "input has 3 segments, above the cap 2",
+            never=(getattr(getattr(cli, module), name), rsk.knuth_viennot),
+        )
 
     @pytest.mark.parametrize("mode, module, name", _PEELING_MODES)
     def test_one_above_the_cap_exits_2_before_peeling(
         self, capsys, monkeypatch, mode, module, name
     ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("peeled an input above the cap")
-
-        monkeypatch.setattr(getattr(cli, module), name, refuse)
-        monkeypatch.setattr(cli.rsk, "knuth_viennot", refuse)
         cap = cli.RSK_MAX_SEGMENTS
-        text = "+".join(["[0,0]"] * (cap + 1))
-        message = f"precondition error: input has {cap + 1} segments, above the cap {cap}"
-        code, out, err = run_cli(capsys, *mode, text)
-        assert (code, out, err) == (2, "", message + "\n")
-        code, out, _ = run_cli(capsys, *mode, text, "--json")
-        assert code == 2
-        assert json.loads(out) == {
-            "status": "precondition_error",
-            "payload": {},
-            "diagnostics": [message],
-        }
+        assert_refused(
+            capsys, monkeypatch, [*mode, "+".join(["[0,0]"] * (cap + 1))],
+            f"input has {cap + 1} segments, above the cap {cap}",
+            never=(getattr(getattr(cli, module), name), rsk.knuth_viennot),
+        )
 
     def test_deepest_input_at_the_cap_is_admitted(self, capsys):
         # the permissibility search recurses along the longest chain of the
@@ -95,10 +82,9 @@ class TestRskCommand:
         assert code == 1
         assert "parse error" in err
 
-    def test_bitableau_precondition_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "rsk", "0", "--bitableau")
-        assert code == 2
-        assert "precondition" in err
+    def test_bitableau_precondition_exit_2(self, capsys, monkeypatch):
+        argv = ["rsk", "0", "--bitableau"]
+        assert_refused(capsys, monkeypatch, argv, "empty multisegment has no bitableau")
 
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(
@@ -112,16 +98,19 @@ class TestRskCommand:
         assert payload["Q"] == [[3], [2]]
 
 
+# three inputs of 3 + 1 + 2 cells
+PHI_ARGV = ["derive", "--phi", "[0,2]", "[1,1]", "[4,5]"]
+
+
 class TestDeriveCommand:
     def test_single_noop(self, capsys):
         code, out, _ = run_cli(capsys, "derive", "--single", "5", "[1,3]")
         assert code == 0
         assert out.strip() == "[1,3]"
 
-    def test_single_precondition(self, capsys):
-        code, _, err = run_cli(capsys, "derive", "--single", "1", "[1,3]+[2,3]")
-        assert code == 2
-        assert "[2,3]" in err
+    def test_single_precondition(self, capsys, monkeypatch):
+        argv = ["derive", "--single", "1", "[1,3]+[2,3]"]
+        assert_refused(capsys, monkeypatch, argv, "segment [2,3] of [1,3]+[2,3] begins at 2")
 
     def test_derived_descriptor(self, capsys):
         code, out, _ = run_cli(capsys, "derive", "--derived", "[1,1]+[1,1]")
@@ -147,81 +136,47 @@ class TestDeriveCommand:
         assert out.strip() == "phi: 1"
 
     def test_phi_cell_cap_is_inclusive(self, capsys, monkeypatch):
-        # 3 + 1 + 2 cells; the weights are never built above the cap
-        argv = ("derive", "--phi", "[0,2]", "[1,1]", "[4,5]")
-        monkeypatch.setattr(cli, "PHI_MAX_CELLS", 6)
-        assert run_cli(capsys, *argv)[0] == 0
-        monkeypatch.setattr(cli, "PHI_MAX_CELLS", 5)
-        monkeypatch.setattr(cli.strings, "phi_multiseg", None)
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == "precondition error: inputs have 6 cells, above the cap 5\n"
+        # the weights are never built above the cap
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "cli.PHI_MAX_CELLS", PHI_ARGV, 6,
+            "inputs have 6 cells, above the cap 5", never=(strings.phi_multiseg,),
+        )
 
     @pytest.mark.parametrize("mode", [("--phi",), ("--bz", "3"), ("--single", "1"), ()])
     def test_segment_cap_is_inclusive_in_every_mode(self, capsys, monkeypatch, mode):
-        text = "[0,0]+[0,1]+[1,1]"
-        monkeypatch.setattr(cli, "RSK_MAX_SEGMENTS", 3)
-        assert run_cli(capsys, "derive", *mode, text)[0] == 0
-        monkeypatch.setattr(cli, "RSK_MAX_SEGMENTS", 2)
-        for name in ("phi_multiseg", "bz_derivative", "single_derivative"):
-            monkeypatch.setattr(cli.strings, name, None)
-        code, out, err = run_cli(capsys, "derive", *mode, text)
-        assert (code, out) == (2, "")
-        assert err == "precondition error: input has 3 segments, above the cap 2\n"
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "cli.RSK_MAX_SEGMENTS", ["derive", *mode, "[0,0]+[0,1]+[1,1]"],
+            3, "input has 3 segments, above the cap 2",
+            never=(strings.phi_multiseg, strings.bz_derivative, strings.single_derivative),
+        )
 
     def test_bz_one_above_the_segment_cap_exits_2_before_deriving(self, capsys, monkeypatch):
         # --bz rebuilds the input at each distinct begin, quadratic in its length
-        def refuse(*args, **kwargs):
-            raise AssertionError("derived an input above the cap")
-
-        monkeypatch.setattr(cli.strings, "bz_derivative", refuse)
         cap = cli.RSK_MAX_SEGMENTS
-        text = "+".join(f"[{i},{i}]" for i in range(cap + 1))
-        message = f"precondition error: input has {cap + 1} segments, above the cap {cap}"
-        code, out, err = run_cli(capsys, "derive", "--bz", str(cap), text)
-        assert (code, out, err) == (2, "", message + "\n")
-        code, out, _ = run_cli(capsys, "derive", "--bz", str(cap), text, "--json")
-        assert code == 2
-        assert json.loads(out) == {
-            "status": "precondition_error",
-            "payload": {},
-            "diagnostics": [message],
-        }
+        argv = ["derive", "--bz", str(cap), "+".join(f"[{i},{i}]" for i in range(cap + 1))]
+        message = f"input has {cap + 1} segments, above the cap {cap}"
+        assert_refused(capsys, monkeypatch, argv, message, never=(strings.bz_derivative,))
 
     def test_phi_input_cap_is_inclusive(self, capsys, monkeypatch):
-        argv = ("derive", "--phi", "[0,2]", "[1,1]", "[4,5]")
-        monkeypatch.setattr(cli, "PHI_MAX_INPUTS", 3)
-        assert run_cli(capsys, *argv)[0] == 0
-        monkeypatch.setattr(cli, "PHI_MAX_INPUTS", 2)
-        monkeypatch.setattr(cli.strings, "phi_multiseg", None)
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == "precondition error: 3 inputs, above the cap 2\n"
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "cli.PHI_MAX_INPUTS", PHI_ARGV, 3, "3 inputs, above the cap 2",
+            never=(strings.phi_multiseg,),
+        )
 
     def test_phi_on_2000_inputs_exits_2_at_once(self, capsys, monkeypatch):
         # Phi walks every pair of inputs: 2,000 of them took 9.7 s
-        def refuse(*args, **kwargs):
-            raise AssertionError("computed Phi above the input cap")
+        argv = ["derive", "--phi", *["[0,0]"] * 2000]
+        message = f"2000 inputs, above the cap {cli.PHI_MAX_INPUTS}"
+        assert_refused(capsys, monkeypatch, argv, message, never=(strings.phi_multiseg,))
 
-        monkeypatch.setattr(cli.strings, "phi_multiseg", refuse)
-        message = f"precondition error: 2000 inputs, above the cap {cli.PHI_MAX_INPUTS}"
-        code, out, err = run_cli(capsys, "derive", "--phi", *["[0,0]"] * 2000)
-        assert (code, out, err) == (2, "", message + "\n")
-        code, out, _ = run_cli(capsys, "derive", "--phi", "--json", *["[0,0]"] * 2000)
-        assert code == 2
-        assert json.loads(out)["diagnostics"] == [message]
-
-    def test_bz_support_precondition(self, capsys):
-        code, _, _ = run_cli(capsys, "derive", "--bz", "2", "[1,3]")
-        assert code == 2
+    def test_bz_support_precondition(self, capsys, monkeypatch):
+        argv = ["derive", "--bz", "2", "[1,3]"]
+        assert_refused(capsys, monkeypatch, argv, "support of wt([1,3]) exceeds [-2,2]")
 
     @pytest.mark.parametrize("text", ["[1,3]", "0"])
-    def test_negative_bz_precondition(self, capsys, text):
-        code, out, err = run_cli(capsys, "derive", "--bz", "-1", text)
-        assert code == 2
-        assert out == ""
-        assert "precondition error" in err and "non-negative" in err
-        assert "[--1" not in err
+    def test_negative_bz_precondition(self, capsys, monkeypatch, text):
+        argv = ["derive", "--bz", "-1", text]
+        assert_refused(capsys, monkeypatch, argv, "BZ parameter must be non-negative, got -1")
 
     def test_single_and_bz_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -277,6 +232,10 @@ class TestDeriveCommand:
         assert capsys.readouterr().out == ""
 
 
+# what `specht` computes once its size caps admit the request
+SPECHT_WORK = (specht.is_restricted, specht.multiseg_of, specht.pad)
+
+
 class TestSpechtCommand:
     def test_proper_worked_example(self, capsys):
         code, out, _ = run_cli(
@@ -309,17 +268,18 @@ class TestSpechtCommand:
         assert payload["restricted"] is True
         assert {"specht_rsk": True} in payload["checks"]
 
-    def test_verify_rsk_requires_restricted(self, capsys):
-        code, _, err = run_cli(
-            capsys, "specht", "--charge", "0,0", "--parts", "2|1", "--verify-rsk"
+    def test_verify_rsk_requires_restricted(self, capsys, monkeypatch):
+        assert_refused(
+            capsys, monkeypatch, ["specht", "--charge", "0,0", "--parts", "2|1", "--verify-rsk"],
+            "--verify-rsk requires a restricted multipartition",
+            never=(specht.specht_rsk_verify,),
         )
-        assert code == 2
-        assert "restricted" in err
 
-    def test_pad_requires_restricted(self, capsys):
-        code, out, err = run_cli(capsys, "specht", "--charge", "0,0", "--parts", "2|1", "--pad")
-        assert (code, out) == (2, "")
-        assert err == "precondition error: padding requires a restricted multipartition\n"
+    def test_pad_requires_restricted(self, capsys, monkeypatch):
+        assert_refused(
+            capsys, monkeypatch, ["specht", "--charge", "0,0", "--parts", "2|1", "--pad"],
+            "padding requires a restricted multipartition",
+        )
 
     def test_pad_and_derive(self, capsys):
         code, out, _ = run_cli(
@@ -343,49 +303,31 @@ class TestSpechtCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (
-                ("--charge", "0", "--parts", "100000000"),
-                "multipartition has 100000000 cells, above the cap 10000",
-            ),
-            (
-                ("--charge", "0", "--parts", ",".join(["1"] * 301)),
-                "multipartition has 301 rows, above the cap 300",
-            ),
+            (("--charge", "0", "--parts", "100000000"),
+             "multipartition has 100000000 cells, above the cap 10000"),
+            (("--charge", "0", "--parts", ",".join(["1"] * 301)),
+             "multipartition has 301 rows, above the cap 300"),
             # the padding of an empty component at a far charge is huge
-            (
-                ("--charge", "100000000,0", "--parts", "|", "--pad"),
-                "padded multipartition has 100000000 cells, above the cap 10000",
-            ),
-            (
-                ("--charge", "100000000,0", "--parts", "|", "--verify-rsk"),
-                "padded multipartition has 100000000 cells, above the cap 10000",
-            ),
+            (("--charge", "100000000,0", "--parts", "|", "--pad"),
+             "padded multipartition has 100000000 cells, above the cap 10000"),
+            (("--charge", "100000000,0", "--parts", "|", "--verify-rsk"),
+             "padded multipartition has 100000000 cells, above the cap 10000"),
         ],
     )
     def test_size_caps_exit_2_before_any_work(self, capsys, monkeypatch, argv, message):
-        for name in ("is_restricted", "multiseg_of", "pad"):
-            monkeypatch.setattr(cli.specht, name, None)
-        code, out, err = run_cli(capsys, "specht", *argv)
-        assert (code, out) == (2, "")
-        assert err == f"precondition error: {message}\n"
-        code, out, _ = run_cli(capsys, "specht", *argv, "--json")
-        assert code == 2
-        assert json.loads(out) == {
-            "status": "precondition_error",
-            "payload": {},
-            "diagnostics": [f"precondition error: {message}"],
-        }
+        assert_refused(capsys, monkeypatch, ["specht", *argv], message, never=SPECHT_WORK)
 
     def test_size_caps_are_inclusive(self, capsys, monkeypatch):
         # "2|2,1" padded under 1,0 is "3,1,1|3,2": 10 cells in 5 rows
-        argv = ("specht", "--charge", "1,0", "--parts", "2|2,1", "--pad")
-        monkeypatch.setattr(cli, "SPECHT_MAX_CELLS", 10)
-        monkeypatch.setattr(cli, "SPECHT_MAX_ROWS", 5)
-        assert run_cli(capsys, *argv)[0] == 0
-        monkeypatch.setattr(cli, "SPECHT_MAX_ROWS", 4)
-        assert run_cli(capsys, *argv)[2].endswith("has 5 rows, above the cap 4\n")
-        monkeypatch.setattr(cli, "SPECHT_MAX_CELLS", 9)
-        assert run_cli(capsys, *argv)[2].endswith("has 10 cells, above the cap 9\n")
+        argv = ["specht", "--charge", "1,0", "--parts", "2|2,1", "--pad"]
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "cli.SPECHT_MAX_CELLS", argv, 10,
+            "padded multipartition has 10 cells, above the cap 9", never=SPECHT_WORK,
+        )
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "cli.SPECHT_MAX_ROWS", argv, 5,
+            "padded multipartition has 5 rows, above the cap 4", never=SPECHT_WORK,
+        )
 
     def test_padded_size_matches_the_padding(self):
         for kappa in iter_multicharges(-2, 2, 3):
@@ -409,52 +351,39 @@ class TestTableauxCommand:
         assert payload["tableaux"][0]["rows"] == [[1, 2], [3]]
         assert payload["tableaux"][0]["residues"] == [0, 1, -1]
 
-    @pytest.mark.parametrize("shape", ["5,5,5,5", "6,6,6,6,6"])
-    def test_count_above_cap_exit_2(self, capsys, monkeypatch, shape):
-        import segrsk.tableaux as tableaux_mod
-
-        def refuse(shape):
-            raise AssertionError("enumerated a shape above the cap")
-
-        monkeypatch.setattr(tableaux_mod, "standard_tableaux", refuse)
-        code, out, err = run_cli(capsys, "tableaux", "--shape", shape, "--json")
-        assert code == 2
-        assert "above the cap" in err
-        report = json.loads(out)
-        assert report["status"] == "precondition_error"
-        assert "above the cap" in report["diagnostics"][0]
+    @pytest.mark.parametrize(
+        "shape, cells", [("5,5,5,5", 33256080), ("6,6,6,6,6", 11894993124300)],
+        ids=["5,5,5,5", "6,6,6,6,6"],
+    )
+    def test_count_above_cap_exit_2(self, capsys, monkeypatch, shape, cells):
+        assert_refused(
+            capsys, monkeypatch, ["tableaux", "--shape", shape],
+            f"shape {shape} lists {cells} cells in its tableaux, above the cap 1000000",
+            never=(tableaux.standard_tableaux,),
+        )
 
     def test_cell_cap_is_inclusive(self, capsys, monkeypatch):
-        import segrsk.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod, "TABLEAUX_MAX_CELLS", 3)
-        assert run_cli(capsys, "tableaux", "--shape", "2,1")[0] == 0
-        monkeypatch.setattr(cli_mod, "TABLEAUX_MAX_CELLS", 2)
-        assert run_cli(capsys, "tableaux", "--shape", "2,1")[0] == 2
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "cli.TABLEAUX_MAX_CELLS", ["tableaux", "--shape", "2,1"], 3,
+            "shape has 3 cells, above the cap 2",
+            never=(oracle.hook_length_count, tableaux.standard_tableaux),
+        )
 
     def test_output_cell_cap_is_inclusive(self, capsys, monkeypatch):
-        import segrsk.cli as cli_mod
-
         # shape 2,1 lists two tableaux of three cells
-        monkeypatch.setattr(cli_mod, "TABLEAUX_MAX_OUTPUT_CELLS", 6)
-        assert run_cli(capsys, "tableaux", "--shape", "2,1")[0] == 0
-        monkeypatch.setattr(cli_mod, "TABLEAUX_MAX_OUTPUT_CELLS", 5)
-        assert run_cli(capsys, "tableaux", "--shape", "2,1")[0] == 2
+        assert_cap_is_inclusive(
+            capsys, monkeypatch, "cli.TABLEAUX_MAX_OUTPUT_CELLS", ["tableaux", "--shape", "2,1"],
+            6, "shape 2,1 lists 6 cells in its tableaux, above the cap 5",
+            never=(tableaux.standard_tableaux,),
+        )
 
     def test_output_cells_above_cap_exit_2_before_enumerating(self, capsys, monkeypatch):
-        import segrsk.tableaux as tableaux_mod
-
-        def refuse(shape):
-            raise AssertionError("enumerated a shape above the output cap")
-
-        monkeypatch.setattr(tableaux_mod, "standard_tableaux", refuse)
         # 1,999 tableaux of 2,000 cells: under the cell cap
-        code, out, err = run_cli(capsys, "tableaux", "--shape", "1999,1", "--json")
-        assert code == 2
-        assert "lists 3998000 cells in its tableaux, above the cap 1000000" in err
-        report = json.loads(out)
-        assert report["status"] == "precondition_error"
-        assert report["diagnostics"] == err.splitlines()
+        assert_refused(
+            capsys, monkeypatch, ["tableaux", "--shape", "1999,1"],
+            "shape 1999,1 lists 3998000 cells in its tableaux, above the cap 1000000",
+            never=(tableaux.standard_tableaux,),
+        )
 
     def test_long_shape_lists_its_one_tableau(self, capsys):
         code, out, _ = run_cli(capsys, "tableaux", "--shape", "1200", "--json")
@@ -463,20 +392,15 @@ class TestTableauxCommand:
         assert payload["count"] == 1
         assert payload["tableaux"][0]["rows"] == [list(range(1, 1201))]
 
-    @pytest.mark.parametrize("shape", ["100000", "2001", "1000,1000,1"])
-    def test_cells_above_cap_exit_2_before_counting(self, capsys, monkeypatch, shape):
-        import segrsk.oracle as oracle_mod
-
-        def refuse(shape):
-            raise AssertionError("counted a shape above the cell cap")
-
-        monkeypatch.setattr(oracle_mod, "hook_length_count", refuse)
-        code, out, err = run_cli(capsys, "tableaux", "--shape", shape, "--json")
-        assert code == 2
-        assert "cells, above the cap 2000" in err
-        report = json.loads(out)
-        assert report["status"] == "precondition_error"
-        assert report["diagnostics"] == err.splitlines()
+    @pytest.mark.parametrize(
+        "shape, cells", [("100000", 100000), ("2001", 2001), ("1000,1000,1", 2001)],
+        ids=["100000", "2001", "1000,1000,1"],
+    )
+    def test_cells_above_cap_exit_2_before_counting(self, capsys, monkeypatch, shape, cells):
+        assert_refused(
+            capsys, monkeypatch, ["tableaux", "--shape", shape],
+            f"shape has {cells} cells, above the cap 2000", never=(oracle.hook_length_count,),
+        )
 
 
 class TestExitCodeTable:
@@ -489,12 +413,10 @@ class TestExitCodeTable:
         ],
     )
     def test_library_exceptions(self, capsys, monkeypatch, kind, code, status):
-        import segrsk.rsk as rsk_mod
-
         def broken(m):
             raise kind("identity broken")
 
-        monkeypatch.setattr(rsk_mod, "rsk_transform", broken)
+        monkeypatch.setattr(rsk, "rsk_transform", broken)
         got, out, err = run_cli(capsys, "rsk", "[1,1]+[1,2]")
         assert got == code
         assert out == ""
@@ -508,12 +430,10 @@ class TestExitCodeTable:
         assert report["diagnostics"] == err.splitlines()
 
     def test_internal_error_prints_reproduction(self, capsys, monkeypatch):
-        import segrsk.rsk as rsk_mod
-
         def broken(m):
             raise InvariantViolation("identity broken")
 
-        monkeypatch.setattr(rsk_mod, "rsk_transform", broken)
+        monkeypatch.setattr(rsk, "rsk_transform", broken)
         code, _, err = run_cli(capsys, "rsk", "[1,1]+[1,2]", "--width")
         assert code == 4
         assert err.splitlines() == [
@@ -539,18 +459,10 @@ class TestCheckCommand:
     )
     def test_trivial_domain_is_refused(self, capsys, monkeypatch, argv, suite):
         # a suite with no case to walk would pass without checking anything
-        for name in ("suite_combi", "suite_rsk", "suite_kv", "suite_strings", "suite_specht"):
-            monkeypatch.setattr(checks, name, None)
-        message = f"precondition error: {suite} would check no case at these bounds"
-        code, out, err = run_cli(capsys, "check", *argv)
-        assert (code, out, err.splitlines()) == (2, "", [message])
-        code, out, _ = run_cli(capsys, "check", *argv, "--json")
-        assert code == 2
-        assert json.loads(out) == {
-            "status": "precondition_error",
-            "payload": {},
-            "diagnostics": [message],
-        }
+        assert_refused(
+            capsys, monkeypatch, ["check", *argv], f"{suite} would check no case at these bounds",
+            never=CHECK_SUITES,
+        )
 
     def test_small_combi(self, capsys):
         code, out, _ = run_cli(
@@ -613,8 +525,8 @@ class TestCheckCommand:
             capsys, "check", "--suite", "rsk", "--min", "-1", "--max", "1",
             "--max-segments", "2", "--sample", "5", "--json",
         )
-        rsk = json.loads(out)["payload"]["rsk"]
-        assert (rsk["cases"], rsk["exhaustive_through"], rsk["sampled"]) == (11, 1, 5)
+        suite = json.loads(out)["payload"]["rsk"]
+        assert (suite["cases"], suite["exhaustive_through"], suite["sampled"]) == (11, 1, 5)
         # combi samples the triples of its 10-element domain past 100 tuples
         monkeypatch.setattr(checks, "EXHAUSTIVE_TUPLES", 100)
         code, out, _ = run_cli(
@@ -629,38 +541,28 @@ class TestCheckCommand:
         [
             # each of these ended in a MemoryError traceback (exit 1) or ran
             # for minutes before the size rules
-            (("--suite", "rsk", "--max-segments", "1000000000"), "segments per instance"),
-            (
-                ("--suite", "strings", "--min", "-100000", "--max", "100000",
-                 "--max-segments", "2"),
-                "support reaches 100000",
-            ),
-            (
-                ("--suite", "combi", "--min", "-10", "--max", "10", "--max-segments", "4"),
-                "combi would hold 123856041 multisegments",
-            ),
-            (
-                ("--suite", "rsk", "--min", "-10", "--max", "10", "--max-segments", "6"),
-                "kv would check 5845994231 cases",
-            ),
+            (("--suite", "rsk", "--max-segments", "1000000000"),
+             "1000000000 segments per instance, above the cap 16"),
+            (("--suite", "strings", "--min", "-100000", "--max", "100000", "--max-segments", "2"),
+             "support reaches 100000, above the cap 100"),
+            (("--suite", "combi", "--min", "-10", "--max", "10", "--max-segments", "4"),
+             "combi would hold 123856041 multisegments, above the cap 100000"),
+            (("--suite", "rsk", "--min", "-10", "--max", "10", "--max-segments", "6"),
+             "kv would check 5845994231 cases, above the cap 2000000"),
             # the pool alone, without the support cap
-            (
-                ("--suite", "rsk", "--min", "0", "--max", "1000", "--max-segments", "1"),
-                "rsk would hold",
-            ),
+            (("--suite", "rsk", "--min", "0", "--max", "1000", "--max-segments", "1"),
+             "rsk would hold 511501 multisegments, above the cap 100000"),
+        ],
+        ids=[
+            "bounds0-segments per instance",
+            "bounds1-support reaches 100000",
+            "bounds2-combi would hold 123856041 multisegments",
+            "bounds3-kv would check 5845994231 cases",
+            "bounds4-rsk would hold",
         ],
     )
     def test_size_rules_exit_2_before_any_suite(self, capsys, monkeypatch, bounds, message):
-        for suite in ("suite_combi", "suite_rsk", "suite_kv", "suite_strings"):
-            monkeypatch.setattr(checks, suite, None)
-        code, out, err = run_cli(capsys, "check", *bounds)
-        assert (code, out) == (2, "")
-        assert err.startswith("precondition error: ") and message in err
-        code, out, _ = run_cli(capsys, "check", *bounds, "--json")
-        assert code == 2
-        report = json.loads(out)
-        assert (report["status"], report["payload"]) == ("precondition_error", {})
-        assert message in report["diagnostics"][0]
+        assert_refused(capsys, monkeypatch, ["check", *bounds], message, never=CHECK_SUITES)
 
     @pytest.mark.parametrize(
         "argv",
@@ -671,17 +573,11 @@ class TestCheckCommand:
         ],
     )
     def test_level_cap_exits_2_before_any_suite(self, capsys, monkeypatch, argv):
-        for suite in ("suite_combi", "suite_rsk", "suite_kv", "suite_strings", "suite_specht"):
-            monkeypatch.setattr(checks, suite, None)
-        message = (
-            f"precondition error: multicharge level cap {argv[-1]} is above the cap "
-            f"{checks.CHECK_MAX_LEVEL}"
+        assert_refused(
+            capsys, monkeypatch, ["check", "--suite", "specht", *argv],
+            f"multicharge level cap {argv[-1]} is above the cap {checks.CHECK_MAX_LEVEL}",
+            never=CHECK_SUITES,
         )
-        assert run_cli(capsys, "check", "--suite", "specht", *argv) == (2, "", message + "\n")
-        code, out, _ = run_cli(capsys, "check", "--suite", "specht", *argv, "--json")
-        report = json.loads(out)
-        assert (code, report["status"], report["payload"]) == (2, "precondition_error", {})
-        assert report["diagnostics"] == [message]
 
     def test_text_output_carries_no_timing(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--suite", "rsk", "--max-segments", "1")
@@ -689,48 +585,24 @@ class TestCheckCommand:
         assert "elapsed" not in out and "cases_per_s" not in out
 
     @pytest.mark.parametrize(
-        "bounds",
+        "bounds, message",
         [
-            ("--min", "3", "--max", "1"),
-            ("--max-segments", "-1"),
+            (("--min", "3", "--max", "1"), "support minimum 3 exceeds maximum 1"),
+            (("--max-segments", "-1"), "segment cap must be non-negative, got -1"),
             # a level cap below 1 or a negative sample would check nothing
-            ("--level", "0"),
-            ("--level", "-1"),
-            ("--sample", "-1"),
+            (("--level", "0"), "multicharge level cap must be at least 1, got 0"),
+            (("--level", "-1"), "multicharge level cap must be at least 1, got -1"),
+            (("--sample", "-1"), "sample size must be non-negative, got -1"),
         ],
+        ids=[f"bounds{i}" for i in range(5)],
     )
-    def test_bad_bounds_exit_2(self, capsys, bounds):
-        code, out, err = run_cli(capsys, "check", "--suite", "rsk", *bounds)
-        assert code == 2
-        assert out == ""
-        assert "precondition error" in err
-
-    def test_bad_bounds_json_envelope(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "--min", "3", "--max", "1", "--json"
-        )
-        assert code == 2
-        report = json.loads(out)
-        assert report["status"] == "precondition_error"
-        assert report["payload"] == {}
-        assert "exceeds" in report["diagnostics"][0]
-
-    def test_bad_level_and_sample_json_envelope(self, capsys):
-        for flags, word in ((("--level", "0"), "level cap"), (("--sample", "-1"), "sample size")):
-            code, out, _ = run_cli(capsys, "check", *flags, "--json")
-            assert code == 2
-            report = json.loads(out)
-            assert report["status"] == "precondition_error"
-            assert report["payload"] == {}
-            assert word in report["diagnostics"][0]
+    def test_bad_bounds_exit_2(self, capsys, monkeypatch, bounds, message):
+        # under the default suite, all
+        assert_refused(capsys, monkeypatch, ["check", *bounds], message, never=CHECK_SUITES)
 
     def test_failure_exit_3(self, capsys, monkeypatch):
-        import segrsk.strings as strings_mod
-
-        true_ell = strings_mod.ell_form
-        monkeypatch.setattr(
-            strings_mod, "ell_form", lambda b1, b2: -true_ell(b1, b2)
-        )
+        true_ell = strings.ell_form
+        monkeypatch.setattr(strings, "ell_form", lambda b1, b2: -true_ell(b1, b2))
         code, out, _ = run_cli(
             capsys,
             "check",

@@ -7,9 +7,8 @@ word instead, skipping those steps.  A new bypass needs an entry here.
 """
 
 import ast
-from pathlib import Path
 
-import segrsk
+from _scopes import package_sources, scopes_where
 
 BYPASSES: set[str] = set()
 
@@ -24,30 +23,8 @@ def _is_object_new(node: ast.AST) -> bool:
     )
 
 
-def _object_new_callers(sources: dict[str, str]) -> set[str]:
-    """Qualified names (module.qualname) of the scopes that call object.__new__."""
-    found = set()
-
-    def visit(node: ast.AST, where: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            scope = where
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                scope = f"{where}.{child.name}"
-            if _is_object_new(child):
-                found.add(scope)
-            visit(child, scope)
-
-    for module, source in sources.items():
-        visit(ast.parse(source), module)
-    return found
-
-
-def _package_sources() -> dict[str, str]:
-    return {p.stem: p.read_text() for p in Path(segrsk.__file__).parent.glob("*.py")}
-
-
 def test_no_constructor_bypass():
-    assert _object_new_callers(_package_sources()) == BYPASSES
+    assert scopes_where(package_sources(), _is_object_new) == BYPASSES
 
 
 def test_finds_a_bypass():
@@ -59,4 +36,4 @@ def test_finds_a_bypass():
         "        box.x = x\n"
         "        return box\n"
     )
-    assert _object_new_callers({"box": source}) == {"box.Box._wrap"}
+    assert scopes_where({"box": source}, _is_object_new) == {"box.Box._wrap"}

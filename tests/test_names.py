@@ -11,6 +11,7 @@ import pkgutil
 from collections import defaultdict
 from pathlib import Path
 
+from _scopes import package_sources
 import segrsk
 
 
@@ -123,8 +124,8 @@ def _unreferenced() -> set[str]:
                 used.add(child.asname or child.name)
             visit(child, prefix, skip_imports)
 
-    for path in Path(segrsk.__file__).parent.glob("*.py"):
-        visit(ast.parse(path.read_text()), path.stem, path.stem == "__init__")
+    for module, source in package_sources().items():
+        visit(ast.parse(source), module, module == "__init__")
     return {name for name, bare in defined.items() if bare not in used}
 
 

@@ -8,9 +8,8 @@ edit here.
 """
 
 import ast
-from pathlib import Path
 
-import segrsk
+from _scopes import package_sources, scopes_where
 
 PRINTERS = {"cli.main", "cli._print_stdout"}
 
@@ -30,23 +29,25 @@ def _is_print(node: ast.AST) -> bool:
     )
 
 
-def _print_sites() -> set[str]:
-    """Qualified names (module.function) of the scopes that print."""
-    found = set()
-
-    def visit(node: ast.AST, where: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            scope = where
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                scope = f"{where}.{child.name}"
-            if _is_print(child):
-                found.add(scope)
-            visit(child, scope)
-
-    for path in Path(segrsk.__file__).parent.glob("*.py"):
-        visit(ast.parse(path.read_text()), path.stem)
-    return found
-
-
 def test_only_main_and_the_envelope_print():
-    assert _print_sites() <= PRINTERS, sorted(_print_sites() - PRINTERS)
+    sites = scopes_where(package_sources(), _is_print)
+    assert sites <= PRINTERS, sorted(sites - PRINTERS)
+
+
+def test_finds_each_print():
+    source = (
+        "import sys\n"
+        "def report(x):\n"
+        "    print(x)\n"
+        "class Log:\n"
+        "    def out(self, x):\n"
+        "        def flush():\n"
+        "            sys.stdout.write(x)\n"
+        "        return flush\n"
+        "    def err(self, x):\n"
+        "        sys.stderr.write(x)\n"
+        "    def save(self, x):\n"
+        "        self.handle.write(x)\n"
+    )
+    found = scopes_where({"log": source}, _is_print)
+    assert found == {"log.report", "log.Log.out.flush", "log.Log.err"}

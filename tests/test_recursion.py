@@ -7,9 +7,8 @@ closure it defines, needs an explicit stack instead, or an entry here.
 """
 
 import ast
-from pathlib import Path
 
-import segrsk
+from _scopes import package_sources
 
 # the permissibility search recurses once per step of an ll-chain of the
 # rest; cli.RSK_MAX_SEGMENTS keeps the CLI's inputs within the limit
@@ -61,9 +60,7 @@ def _recursive_functions(sources: dict[str, str]) -> set[str]:
 
 
 def test_no_function_calls_itself():
-    package = Path(segrsk.__file__).parent
-    sources = {path.stem: path.read_text() for path in package.glob("*.py")}
-    assert _recursive_functions(sources) == RECURSIVE
+    assert _recursive_functions(package_sources()) == RECURSIVE
 
 
 def test_the_guard_sees_each_form_of_recursion():
