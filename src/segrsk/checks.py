@@ -219,8 +219,9 @@ def suite_rsk(
         result.cases += 1
         try:
             # one peel trace serves the transform, the per-peel oracle
-            # checks, injectivity of the first peel and the bitableau
-            trace = rsk._peel_trace(m, steps, keep)
+            # checks, injectivity of the first peel and the bitableau; it
+            # is read twice, so the stream is held as a tuple
+            trace = tuple(rsk._peel_trace(m, steps, keep))
             transform = rsk.LadderSequence.from_trace(trace)
         except (InvariantViolation, ShapeViolation) as exc:
             result.failures.append(f"RSK({m}) failed: {exc}")

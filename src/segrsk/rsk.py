@@ -13,7 +13,7 @@ views of one input (ladders, peels, bitableau) share one trace.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, PreconditionError, ShapeViolation
@@ -142,8 +142,9 @@ def knuth_viennot(m: Multisegment) -> tuple[Multisegment, Multisegment]:
     return ladder, rest
 
 
-# (ladder, rest) of each peeling step, in order
-PeelTrace = tuple[tuple[Multisegment, Multisegment], ...]
+# (ladder, rest) of one peeling step, and of each step in order
+PeelStep = tuple[Multisegment, Multisegment]
+PeelTrace = tuple[PeelStep, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,10 +159,12 @@ class LadderSequence:
                 raise ShapeViolation(f"entry {i + 1} is not a ladder: {lad}")
 
     @classmethod
-    def from_trace(cls, trace: PeelTrace) -> LadderSequence:
+    def from_trace(cls, trace: Iterable[PeelStep]) -> LadderSequence:
         """The ladders a peel trace split off, in peeling order.
 
-        The RSK shape is checked: no empty ladder, sizes weakly decreasing.
+        Only the ladders are kept, so a streamed trace is held one rest at a
+        time.  The RSK shape is checked: no empty ladder, sizes weakly
+        decreasing.
         """
         ladders = tuple(ladder for ladder, _ in trace)
         sizes = [len(lad) for lad in ladders]
@@ -215,25 +218,25 @@ def peel_trace(m: Multisegment) -> PeelTrace:
 
     Step i peels the rest of step i - 1 (m itself for the first step), so
     the first entry is knuth_viennot(m).  The empty multisegment has the
-    empty trace.
+    empty trace.  The trace holds every rest; rsk_transform streams it
+    instead and holds one rest at a time.
     """
-    return _peel_trace(m, {}, 0)
+    return tuple(_peel_trace(m, {}, 0))
 
 
 def _peel_trace(
-    m: Multisegment,
-    steps: dict[Multisegment, tuple[Multisegment, Multisegment]],
-    keep: int,
-) -> PeelTrace:
-    """peel_trace(m), peeling only the rests that steps does not hold.
+    m: Multisegment, steps: dict[Multisegment, PeelStep], keep: int
+) -> Iterator[PeelStep]:
+    """The steps of peel_trace(m), peeling only the rests that steps does not hold.
 
     The trace of m is its first peel followed by the trace of that peel's
     rest, so a caller that peels many multisegments keeps the first peel of
     each in steps and looks the rests up there.  Only multisegments of at
     most keep segments are stored; a peel that is computed goes through
-    knuth_viennot, with all of its postconditions.
+    knuth_viennot, with all of its postconditions.  The steps are yielded
+    one at a time, so a caller that reads them once holds one rest at a
+    time; a caller that reads them twice takes tuple() of the stream.
     """
-    trace = []
     rest = m
     while rest:
         step = steps.get(rest)
@@ -241,17 +244,17 @@ def _peel_trace(
             step = knuth_viennot(rest)
             if len(rest) <= keep:
                 steps[rest] = step
-        trace.append(step)
+        yield step
         rest = step[1]
-    return tuple(trace)
 
 
 def rsk_transform(m: Multisegment) -> LadderSequence:
     """The ladders of the peel trace, in peeling order.
 
-    The empty multisegment maps to the empty sequence by convention.
+    The trace is streamed: one rest is held at a time.  The empty
+    multisegment maps to the empty sequence by convention.
     """
-    return LadderSequence.from_trace(peel_trace(m))
+    return LadderSequence.from_trace(_peel_trace(m, {}, 0))
 
 
 def width(m: Multisegment) -> int:
@@ -284,30 +287,36 @@ def is_permissible_pair(ladder: Multisegment, m: Multisegment) -> bool:
     neg_ends = [-e for _, e in reversed(ladder.segments)]
     # natural tuple order is lex order (begin first), which extends ll
     values = sorted(set(_pairs(m)))
-    # (lo, hi, the segments ll-below) of each distinct segment of m
-    spans: dict[Pair, tuple[int, int, list[Pair]]] = {}
+    # positions s run from 1 to l + 1
+    size = len(ladder) + 2
+    # (lo, hi, the segments ll-below, the memo) of each distinct segment of
+    # m; memo[s] is 0 while unknown, 1 if matchable from s on, 2 if not
+    spans: dict[Pair, tuple[int, int, list[Pair], bytearray]] = {}
     for x in values:
         b, e = x
         below = [y for y in values if y[0] < b and y[1] < e]
-        spans[x] = (bisect_left(neg_begins, -e) + 1, bisect_right(neg_ends, -e), below)
-    memo: dict[tuple[Pair, int], bool] = {}
+        spans[x] = (
+            bisect_left(neg_begins, -e) + 1,
+            bisect_right(neg_ends, -e),
+            below,
+            bytearray(size),
+        )
 
     def matchable(x: Pair, s: int) -> bool:
-        key = (x, s)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        lo, hi, below = spans[x]
+        lo, hi, below, memo = spans[x]
+        known = memo[s]
+        if known:
+            return known == 1
         star = max(s, lo)
         ok = star <= hi and all(matchable(y, star + 1) for y in below)
-        memo[key] = ok
+        memo[s] = 1 if ok else 2
         return ok
 
     try:
         return all(matchable(x, 1) for x in values)
     finally:
         # matchable reaches itself through its closure; dropping the name
-        # breaks that cycle so memo and spans are freed at return
+        # breaks that cycle so spans and its memos are freed at return
         del matchable
 
 

@@ -52,7 +52,7 @@ class TestPeelTrace:
         random.Random(7001).shuffle(domain)
         steps = {}
         for m in domain:
-            assert _peel_trace(m, steps, 4) == rsk.peel_trace(m), str(m)
+            assert tuple(_peel_trace(m, steps, 4)) == rsk.peel_trace(m), str(m)
         # every rest lies in the domain, so the memo holds each nonempty input
         assert len(steps) == len(domain) - 1
         assert all(steps[x] == rsk.knuth_viennot(x) for x in steps)
@@ -62,7 +62,7 @@ class TestPeelTrace:
         random.Random(7002).shuffle(domain)
         steps = {}
         for m in domain:
-            _peel_trace(m, steps, 4)
+            tuple(_peel_trace(m, steps, 4))
         assert len(count_peels) == len(set(count_peels)) == len(steps)
 
     @pytest.mark.parametrize("n", [25, 100, 400])
@@ -72,18 +72,18 @@ class TestPeelTrace:
         for _ in range(3 if n < 400 else 1):
             m = random_multisegment(rng, n)
             # a second pass reads every step back from the memo
-            assert _peel_trace(m, steps, n) == rsk.peel_trace(m)
-            assert _peel_trace(m, steps, n) == rsk.peel_trace(m)
+            assert tuple(_peel_trace(m, steps, n)) == rsk.peel_trace(m)
+            assert tuple(_peel_trace(m, steps, n)) == rsk.peel_trace(m)
 
     def test_stores_only_small_multisegments(self):
         rng = random.Random(7003)
         steps = {}
         for n in (3, 6, 12):
             m = random_multisegment(rng, n)
-            assert _peel_trace(m, steps, 4) == rsk.peel_trace(m)
+            assert tuple(_peel_trace(m, steps, 4)) == rsk.peel_trace(m)
         assert steps
         assert all(len(x) <= 4 for x in steps)
-        assert _peel_trace(Multisegment(), steps, 4) == ()
+        assert tuple(_peel_trace(Multisegment(), steps, 4)) == ()
 
 
 @pytest.mark.parametrize("suite", [suite_rsk, suite_strings])
@@ -181,6 +181,24 @@ class TestSuiteMutations:
             m for m in enumerate_multisegments(self.BOUNDS) if len(m) == 2
         ]
         assert len(result.failures) == len(two_segment)
+
+    def test_brute_permissible_runs_within_eight_segments(self, monkeypatch):
+        # 285 instances of at most 10 segments in [0, 1], all exhaustive;
+        # every rest is an earlier instance, so each instance of at most 8
+        # segments is peeled and checked once: 164 calls.  A lower guard
+        # shows here (55 calls at 5, 119 at 7) and nowhere else.
+        calls = []
+        true_brute = oracle.brute_permissible
+        monkeypatch.setattr(
+            oracle,
+            "brute_permissible",
+            lambda ladder, rest: calls.append(rest) or true_brute(ladder, rest),
+        )
+        bounds = EnumerationBounds(0, 1, 10)
+        result = suite_rsk(bounds, seed=0)
+        assert result.ok and result.cases == 285
+        within = [m for m in enumerate_multisegments(bounds) if 0 < len(m) <= 8]
+        assert len(calls) == len(within) == 164
 
     def test_insertion_ladders_mutation(self, instances, monkeypatch):
         # row insertion that drops the last ladder of one 3-segment instance

@@ -90,6 +90,7 @@ UNREFERENCED = {
     "oracle.reference_peel": "oracle: one peel on Segment objects",
     "oracle.reference_string_form": "oracle: the string form by its definition",
     "rsk.depth_function": "timed by perfbench",
+    "rsk.peel_trace": "every step held, for the tests and callers that revisit steps",
     "specht.Multicharge.of": "test-only constructor",
     "specht.content_multi": "the content identity of Multipartition.dagger",
     "strings.phi_weights": "traced by perfbench; the checked grading shift",
