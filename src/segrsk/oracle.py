@@ -2,7 +2,8 @@
 
 Everything here recomputes a main-path result by a separate route: the
 Dilworth width as the largest antichain, the RSK ladders by Schensted row
-insertion, permissibility by trying every chain against every injective
+insertion, the multisegment and the peel trace back from the ladders by
+reverse bumping, permissibility by trying every chain against every injective
 increasing assignment, depths by scanning every pair of Segment objects,
 the string form by a double loop over positions, the BZ derivative by a step
 at every index, and tableau counts by hook lengths.  One peel on Segment
@@ -115,6 +116,62 @@ def insertion_ladders(m: Multisegment) -> tuple[Multisegment, ...]:
     return tuple(
         Multisegment(Segment(-x, -y) for x, y in zip(q_row, p_row))
         for p_row, q_row in zip(p_rows, q_rows)
+    )
+
+
+def insertion_inverse(ladders: Sequence[Multisegment]) -> Multisegment:
+    """The multisegment whose RSK ladders these are, by reverse bumping.
+
+    Row r of P holds the negated ends of ladder r and row r of Q its negated
+    begins, both ascending, as insertion_ladders builds them.  The last
+    insertion is undone first: the largest recorded x, and among equal x the
+    lowest row, since equal x were inserted with y descending, each into a
+    lower row.  Q's entries never move, so that order is the cells of Q
+    sorted once.  Each corner leaves P, and its y goes up: in each row above
+    it replaces the rightmost entry <= it, which moves on up.  What leaves
+    the top row is the point (x, y), the segment [-x, -y].  A shape that no
+    RSK output has is refused: an entry that is not a ladder, a ladder
+    longer than the one above it, a row with no entry <= the value bumped
+    into it, or a point with -x > -y.
+    """
+    p_rows: list[list[int]] = []
+    cells: list[tuple[int, int]] = []  # (x, row) of each box of Q
+    for r, ladder in enumerate(ladders):
+        if not ladder.is_ladder():
+            raise PreconditionError(f"not a ladder: {ladder}")
+        # a ladder's begins and ends both ascend in its canonical order
+        segs = ladder.segments[::-1]
+        if r and len(segs) > len(p_rows[-1]):
+            sizes = [len(lad) for lad in ladders]
+            raise PreconditionError(f"ladder sizes not weakly decreasing: {sizes}")
+        p_rows.append([-e for _, e in segs])
+        cells += [(-b, r) for b, _ in segs]
+    # largest x first, and among equal x the largest r, the lowest row
+    cells.sort(reverse=True)
+    segments = []
+    for x, r in cells:
+        y = p_rows[r].pop()
+        for i in range(r - 1, -1, -1):
+            row = p_rows[i]
+            k = bisect_right(row, y) - 1
+            if k < 0:
+                raise PreconditionError(f"no entry <= {y} in the row {row} of P")
+            y, row[k] = row[k], y
+        if y > x:
+            raise PreconditionError(f"reverse bumping gives the empty segment [{-x},{-y}]")
+        segments.append(Segment(-x, -y))
+    return Multisegment(segments)
+
+
+def insertion_trace(m: Multisegment) -> tuple[tuple[Multisegment, Multisegment], ...]:
+    """The peel trace of m from Schensted insertion and reverse bumping.
+
+    The first peel splits off the first ladder of m, and its rest has the
+    remaining ladders, so each step is (ladders[i], inverse of ladders[i+1:]).
+    """
+    ladders = insertion_ladders(m)
+    return tuple(
+        (ladder, insertion_inverse(ladders[i + 1 :])) for i, ladder in enumerate(ladders)
     )
 
 

@@ -212,6 +212,21 @@ class TestSuiteMutations:
             f"RSK({target}) differs from row insertion"
         ]
 
+    def test_insertion_inverse_mutation(self, instances, monkeypatch):
+        # reverse bumping that loses a segment of one 3-segment instance
+        target = Multisegment.of((-1, 0), (0, 1), (1, 1))
+        true_inverse = oracle.insertion_inverse
+
+        def broken(ladders):
+            m = true_inverse(ladders)
+            return Multisegment(m.segments[1:]) if m == target else m
+
+        monkeypatch.setattr(oracle, "insertion_inverse", broken)
+        result = suite_rsk(self.BOUNDS)
+        assert [f.partition(" | ")[0] for f in result.failures] == [
+            f"reverse bumping of RSK({target}) gives [0,1]+[1,1]"
+        ]
+
     def test_class_without_an_enumeration_fails_suite_kv(self, monkeypatch):
         # with no admissible order of a class there is no peel to compare,
         # which must fail rather than pass with nothing compared

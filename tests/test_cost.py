@@ -1,7 +1,8 @@
-"""Cost guards of the peel, counted without a clock (tests/_cost.py): the
-tracemalloc peak of one call, and how the line events of one call grow from
-n to 2n.  Each bound comes from a measured value and keeps a stated margin;
-raising one is a rule change, to be stated with its reason."""
+"""Cost guards of the peel and of suite_rsk, counted without a clock
+(tests/_cost.py): the tracemalloc peak of one call, and how the line events
+of one call grow from n to 2n.  Each bound comes from a measured value and
+keeps a stated margin; raising one is a rule change, to be stated with its
+reason."""
 
 import random
 
@@ -9,8 +10,9 @@ import pytest
 
 from _cost import line_events, peak_kib
 from _inputs import random_multisegment
-from segrsk import rsk
+from segrsk import checks, rsk
 from segrsk.multisegment import Multisegment
+from segrsk.oracle import EnumerationBounds
 
 M = Multisegment.of
 
@@ -49,6 +51,19 @@ class TestPeakMemory:
         # for a dict keyed by (segment, position)
         chain = M(*((i, i) for i in range(100)))
         assert peak_kib(lambda: rsk.is_permissible_pair(chain, chain)) < 160
+
+    def test_suite_rsk_keeps_no_object_per_instance(self):
+        # 1,000 instances, each checked on its own by reverse bumping: 345
+        # KiB measured, the instance list and the first-peel memo, against
+        # 836 KiB when the suite kept every instance's first peel to compare
+        # across instances.  A first call in a process also fills the
+        # interpreter's free lists, which reads several hundred KiB more, so
+        # the suite runs once before it is measured
+        def run():
+            return checks.suite_rsk(EnumerationBounds(-1, 2, 4), seed=0)
+
+        run()
+        assert peak_kib(run) < 512
 
 
 @pytest.mark.parametrize("family", [_seeded, _nested, _doubled_chain, _repeated_points])

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from segrsk import checks, cli, oracle, rsk, specht, strings, tableaux
-from segrsk.errors import InvariantViolation
+from segrsk.errors import InvariantViolation, PreconditionError
 from segrsk.multisegment import Multisegment
 from segrsk.oracle import EnumerationBounds
 
@@ -57,7 +57,24 @@ def _rsk(monkeypatch):
     _break(monkeypatch, rsk.LadderSequence, "bitableau", _raise_on("[0,1] ; [0,1]"))
     _break(monkeypatch, tableaux, "c_count",
            lambda true: lambda pq: true(pq) + (pq.p.rows in (((1,), (0,)), ((2,), (2,)))))
+    _break(monkeypatch, oracle, "insertion_inverse", _inverse_broken_on("[1,1]", "[0,0]+[0,1]"))
     return checks.suite_rsk(EnumerationBounds(0, 1, 2), seed=4, sample=13)
+
+
+def _inverse_broken_on(refused, wrong):
+    """Wrap insertion_inverse to refuse the ladders of one multisegment and
+    to drop a segment from that of another."""
+
+    def wrap(true):
+        def broken(ladders):
+            m = true(ladders)
+            if str(m) == refused:
+                raise PreconditionError("broken on purpose")
+            return Multisegment(m.segments[1:]) if str(m) == wrong else m
+
+        return broken
+
+    return wrap
 
 
 def _kv(monkeypatch):
@@ -141,6 +158,8 @@ EXPECTED = {
     ],
     "rsk": [
         f"width([0,1])=1 != Dilworth 2 | {RSK_RUN}",
+        f"reverse bumping of RSK([1,1]) failed: broken on purpose | {RSK_RUN}",
+        f"reverse bumping of RSK([0,0]+[0,1]) gives [0,1] | {RSK_RUN}",
         f"RSK([0,0]+[1,1]) failed: broken on purpose | {RSK_RUN}",
         f"width drop 2->2 peeling [0,1]+[0,1] | {RSK_RUN}",
         f"bitableau of [0,1]+[0,1] failed: broken on purpose | {RSK_RUN}",

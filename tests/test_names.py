@@ -87,6 +87,7 @@ UNREFERENCED = {
     "lattice._SparseMap.height": "level and size identities in the tests",
     "multisegment.Multisegment.of": "test-only constructor from endpoint pairs",
     "multisegment.point_multisegment": "test-only: the point multisegment of a weight",
+    "oracle.insertion_trace": "oracle: the peel_trace row's trace by reverse bumping",
     "oracle.reference_peel": "oracle: one peel on Segment objects",
     "oracle.reference_string_form": "oracle: the string form by its definition",
     "rsk.depth_function": "timed by perfbench",

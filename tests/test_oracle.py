@@ -123,6 +123,37 @@ class TestBrutePermissible:
             brute_permissible(M((1, 2)), big)
 
 
+class TestInsertionInverse:
+    def test_examples(self):
+        assert oracle.insertion_inverse(()) == Multisegment()
+        # two equal segments: the second bumps the first into row 1, and
+        # reverse bumping sends it back up past the equal entry
+        twice = M((0, 0), (0, 0))
+        assert oracle.insertion_inverse((M((0, 0)), M((0, 0)))) == twice
+        assert oracle.insertion_trace(M((1, 1), (1, 2))) == (
+            (M((1, 2)), M((1, 1))),
+            (M((1, 1)), Multisegment()),
+        )
+
+    def test_refuses_an_entry_that_is_not_a_ladder(self):
+        with pytest.raises(PreconditionError, match=r"not a ladder: \[0,0\]\+\[0,1\]"):
+            oracle.insertion_inverse((M((0, 0), (0, 1)),))
+
+    def test_refuses_a_lower_ladder_longer_than_the_one_above(self):
+        with pytest.raises(PreconditionError, match=r"not weakly decreasing: \[1, 2\]"):
+            oracle.insertion_inverse((M((0, 0)), M((0, 0), (1, 1))))
+
+    def test_refuses_a_row_with_no_entry_below_the_bumped_value(self):
+        # [-1,3] is recorded last and sends -3 up into the row [0]
+        with pytest.raises(PreconditionError, match=r"no entry <= -3 in the row \[0\]"):
+            oracle.insertion_inverse((M((0, 0)), M((-1, 3))))
+
+    def test_refuses_a_point_below_the_diagonal(self):
+        # [-1,-1] bumps -5 out of the row of [0,5], which leaves (0, 1)
+        with pytest.raises(PreconditionError, match=r"empty segment \[0,-1\]"):
+            oracle.insertion_inverse((M((0, 5)), M((-1, -1))))
+
+
 class TestHookLengths:
     def test_examples(self):
         assert hook_length_count(Partition.of(2, 1)) == 2

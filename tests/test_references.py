@@ -33,20 +33,31 @@ def star(f):
 
 
 def _peel_trace_inputs(part):
-    """The domain, or seeded inputs of `part` segments: three, one at 400."""
+    """The domain, seeded inputs of `part` segments (three, one at 400), or
+    the rsk row's families."""
     if part == "domain":
         return enumerate_multisegments(DOMAIN)
+    if part == "families":
+        return _families()
     rng = random.Random(2110 + part)
     return [_inputs.random_multisegment(rng, part) for _ in range(3 if part < 400 else 1)]
 
 
-def _iterated_peels(m):
-    """peel_trace and the transform's ladders by knuth_viennot until nothing remains."""
+def _peel_trace_twice(m):
+    """peel_trace, once for each of its references, and the transform's ladders."""
+    trace = rsk.peel_trace(m)
+    return trace, trace, rsk.rsk_transform(m).ladders
+
+
+def _reference_traces(m):
+    """peel_trace by knuth_viennot until nothing remains, the same trace by
+    insertion and reverse bumping, which share no code with the peel, and
+    the transform's ladders from the iterated peels."""
     steps, rest = [], m
     while rest:
         steps.append(rsk.knuth_viennot(rest))
         rest = steps[-1][1]
-    return tuple(steps), tuple(ladder for ladder, _ in steps)
+    return tuple(steps), oracle.insertion_trace(m), tuple(ladder for ladder, _ in steps)
 
 
 def _criterion8_and_seeded():
@@ -233,14 +244,16 @@ REFERENCES = {
         lambda: [*_seeded(), *_families()],
     ),
     "peel": (rsk.knuth_viennot, oracle.reference_peel, _criterion8_and_seeded),
-    "peel_trace": (
-        lambda m: (rsk.peel_trace(m), rsk.rsk_transform(m).ladders),
-        _iterated_peels,
-        _peel_trace_inputs,
-    ),
+    "peel_trace": (_peel_trace_twice, _reference_traces, _peel_trace_inputs),
     "permissible": (star(rsk.is_permissible_pair), star(oracle.brute_permissible), _ladder_pairs),
     "width": (rsk.width, oracle.dilworth_width, _seeded),
     "rsk": (lambda m: rsk.rsk_transform(m).ladders, oracle.insertion_ladders, _rsk_inputs),
+    # the rsk row shows the transform equal to insertion_ladders on these inputs
+    "inverse": (
+        lambda m: oracle.insertion_inverse(oracle.insertion_ladders(m)),
+        lambda m: m,
+        _rsk_inputs,
+    ),
     "antichain": (oracle.dilworth_width, _largest_antichain, _antichain_inputs),
     "matching": (oracle.dilworth_width, _recursive_dilworth_width, _matching_inputs),
     "nested_enumerations": (

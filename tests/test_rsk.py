@@ -90,6 +90,9 @@ class TestPeelTrace:
     def test_matches_iterated_peels_on_random_inputs(self, n):
         assert_row("peel_trace", n)
 
+    def test_matches_iterated_peels_on_the_worst_families(self):
+        assert_row("peel_trace", "families")
+
 def _weights_add_up(m, ladder, rest):
     """The weight identity the begins/ends postcondition replaced."""
     return ladder.weight() + rest.weight() == m.weight()
