@@ -67,12 +67,13 @@ PHI_MAX_INPUTS = 16
 # after parsing and before any work.  The permissibility search of a peel
 # recurses once per step of an ll-chain of the rest, at most half the
 # segments long, so 400 segments stay within the recursion limit (two equal
-# 350-segment chains end in a RecursionError).  That limit binds, not the
-# time: the slowest admitted families measured, the nested segments [-i, i]
-# and the common-end segments [-i, 0], take 0.9 s and 0.8 s at 400.  The
-# other derive modes grow quadratically in the segments: --bz rebuilds the
-# input at each distinct begin (4,000 distinct point segments take 3.1 s),
-# and --phi counts adjacent pairs across each pair of inputs
+# chains of 330 segments [i, i+2] peel; of 331, they end in a
+# RecursionError).  That limit binds, not the time: the slowest admitted
+# families measured, the nested segments [-i, i] and the common-end
+# segments [-i, 0], take 0.9 s and 0.8 s at 400.  The other derive modes
+# grow quadratically in the segments: --bz rebuilds the input at each
+# distinct begin (4,000 distinct point segments take 3.1 s), and --phi
+# counts adjacent pairs across each pair of inputs
 RSK_MAX_SEGMENTS = 400
 
 

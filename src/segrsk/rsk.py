@@ -262,13 +262,29 @@ def width(m: Multisegment) -> int:
     return len(rsk_transform(m))
 
 
+def _matchable(spans: dict, x: Pair, s: int) -> bool:
+    """True iff every ll-chain headed by x embeds into the ladder from position s on.
+
+    memo[s] is 1 once x is known matchable from s on, else 0: a False is not
+    recorded, since it ends the whole search (every caller goes through all()).
+    """
+    lo, hi, below, memo = spans[x]
+    if memo[s]:
+        return True
+    star = max(s, lo)
+    ok = star <= hi and all(_matchable(spans, y, star + 1) for y in below)
+    memo[s] = ok
+    return ok
+
+
 def is_permissible_pair(ladder: Multisegment, m: Multisegment) -> bool:
     """Every ll-chain of m embeds order-compatibly into the ladder intervals.
 
     A chain x_1 >> x_2 >> ... needs an increasing injective assignment of
     ladder positions with e(x_t) inside the assigned interval.  Greedy
-    earliest-position matching is exact here, so a memoized DFS over
-    (chain head, minimal usable position) decides all chains at once.
+    earliest-position matching is exact here, so one memoized search
+    (_matchable) over (chain head, minimal usable position) decides all
+    chains at once, with one byte per state.
 
     Position t = 1..l walks the ladder from its ll-largest segment down, so
     both the begins and the ends of the intervals descend strictly with t.
@@ -289,8 +305,7 @@ def is_permissible_pair(ladder: Multisegment, m: Multisegment) -> bool:
     values = sorted(set(_pairs(m)))
     # positions s run from 1 to l + 1
     size = len(ladder) + 2
-    # (lo, hi, the segments ll-below, the memo) of each distinct segment of
-    # m; memo[s] is 0 while unknown, 1 if matchable from s on, 2 if not
+    # (lo, hi, the segments ll-below, the memo) of each distinct segment of m
     spans: dict[Pair, tuple[int, int, list[Pair], bytearray]] = {}
     for x in values:
         b, e = x
@@ -301,23 +316,7 @@ def is_permissible_pair(ladder: Multisegment, m: Multisegment) -> bool:
             below,
             bytearray(size),
         )
-
-    def matchable(x: Pair, s: int) -> bool:
-        lo, hi, below, memo = spans[x]
-        known = memo[s]
-        if known:
-            return known == 1
-        star = max(s, lo)
-        ok = star <= hi and all(matchable(y, star + 1) for y in below)
-        memo[s] = 1 if ok else 2
-        return ok
-
-    try:
-        return all(matchable(x, 1) for x in values)
-    finally:
-        # matchable reaches itself through its closure; dropping the name
-        # breaks that cycle so spans and its memos are freed at return
-        del matchable
+    return all(_matchable(spans, x, 1) for x in values)
 
 
 def bitableau_of(m: Multisegment) -> BitableauPair:

@@ -11,7 +11,12 @@ import tracemalloc
 
 def peak_kib(fn) -> float:
     """The tracemalloc peak of one call of fn, in KiB, above what was traced
-    at the call's start (nothing, unless tracing was already on)."""
+    at the call's start (nothing, unless tracing was already on).
+
+    fn runs once before the measured call, so that call finds the interpreter's
+    free lists and caches as fn itself leaves them: a guard reads the same
+    whatever ran before it in the process."""
+    fn()
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()

@@ -4,7 +4,11 @@ of one call grow from n to 2n.  Each bound comes from a measured value and
 keeps a stated margin; raising one is a rule change, to be stated with its
 reason."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,11 +40,15 @@ def _seeded(n):
     return random_multisegment(random.Random(n), n)
 
 
+def _suite_rsk():
+    return checks.suite_rsk(EnumerationBounds(-1, 2, 4), seed=0)
+
+
 class TestPeakMemory:
     def test_transform_holds_one_rest_at_a_time(self):
         # 200 peels whose rests hold 19,900 segments in all; streamed, the
-        # peak is one rest and the ladders: 74 KiB measured, against 1,493
-        # KiB when every rest of the trace was kept
+        # peak is one rest and the ladders: 61 KiB measured, against 1,493
+        # KiB (measured as a first call) when every rest of the trace was kept
         m = _nested(200)
         assert peak_kib(lambda: rsk.rsk_transform(m)) < 256
 
@@ -56,14 +64,26 @@ class TestPeakMemory:
         # 1,000 instances, each checked on its own by reverse bumping: 345
         # KiB measured, the instance list and the first-peel memo, against
         # 836 KiB when the suite kept every instance's first peel to compare
-        # across instances.  A first call in a process also fills the
-        # interpreter's free lists, which reads several hundred KiB more, so
-        # the suite runs once before it is measured
-        def run():
-            return checks.suite_rsk(EnumerationBounds(-1, 2, 4), seed=0)
+        # across instances
+        assert peak_kib(_suite_rsk) < 512
 
-        run()
-        assert peak_kib(run) < 512
+    def test_a_first_call_in_a_process_reads_as_a_repeat(self):
+        # peak_kib runs its call once before it measures; without that, a
+        # first call also fills the interpreter's free lists and reads 777
+        # KiB where a repeat reads 345
+        code = "import test_cost; print(test_cost.peak_kib(test_cost._suite_rsk))"
+        dirs = [Path(rsk.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+        path = os.pathsep.join(filter(None, [*map(str, dirs), os.environ.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+        )
+        first = float(child.stdout)
+        repeat = peak_kib(_suite_rsk)
+        assert abs(first - repeat) <= 0.1 * repeat, (first, repeat)
 
 
 @pytest.mark.parametrize("family", [_seeded, _nested, _doubled_chain, _repeated_points])

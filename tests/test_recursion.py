@@ -12,7 +12,7 @@ from _scopes import package_sources
 
 # the permissibility search recurses once per step of an ll-chain of the
 # rest; cli.RSK_MAX_SEGMENTS keeps the CLI's inputs within the limit
-RECURSIVE = {"rsk.is_permissible_pair.<locals>.matchable"}
+RECURSIVE = {"rsk._matchable"}
 
 
 def _calls_itself(func: ast.FunctionDef, class_name: str | None) -> bool:

@@ -154,13 +154,20 @@ class TestPermissiblePair:
 
     def test_frees_its_memo_at_return(self):
         # the memoized search must not leave a reference cycle for the
-        # cyclic collector; with gc off, such a cycle would still be there
-        ladder, rest = knuth_viennot(M((0, 1), (1, 2), (1, 1), (2, 3)))
+        # cyclic collector, on a full search or on its early exit; with gc
+        # off, such a cycle would still be there.  The False pair is one of
+        # test_references._long_ladder_pairs: the search memoizes states,
+        # then the chain [-2,-1] << [-1,0] << [0,1] fails and ends it
+        pairs = [
+            (*knuth_viennot(M((0, 1), (1, 2), (1, 1), (2, 3))), True),
+            (M((-1, 0), (0, 1), (2, 2)), M((-2, -1), (-1, 0), (0, 1)), False),
+        ]
         gc.collect()
         gc.disable()
         try:
-            assert is_permissible_pair(ladder, rest)
-            assert gc.collect() == 0
+            for ladder, rest, answer in pairs:
+                assert is_permissible_pair(ladder, rest) == answer
+                assert gc.collect() == 0
         finally:
             gc.enable()
 
